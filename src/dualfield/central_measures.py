@@ -18,11 +18,11 @@ import numpy as np
 
 from .dual_hypergroup import (
     DualStructure,
-    DualVector,
     FiniteGroupDual,
     Label,
     SU2Dual,
     TorusDual,
+    pair_matrix,
     su2_character_values,
     su2_dual,
     torus_dual,
@@ -292,8 +292,8 @@ def heat_kernel_measure(t: float, quadrature_nodes: int = 256) -> SU2AngleMeasur
     The eigenvalue normalization is n (n+2) for label n, with t exposed
     so any other scale is a reparametrization.
     """
-    if t <= 0:
-        raise ValueError(f"heat kernel time must be positive, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"heat kernel time must be finite and positive, got {t}")
     coefficients = []
     n = 0
     while True:
@@ -332,9 +332,9 @@ def heat_kernel_measure(t: float, quadrature_nodes: int = 256) -> SU2AngleMeasur
 class CovarianceOnDual:
     """Complex-valued function on irreducibles, extended decomposably.
 
-    Evaluation at a reducible element is the multiplicity-weighted sum of
-    the stored irreducible values; labels without a stored value raise
-    :class:`IncompleteCovarianceError`.
+    Evaluation at a reducible element (see :func:`gram_matrix`) is the
+    multiplicity-weighted sum of the stored irreducible values; labels
+    without a stored value raise :class:`IncompleteCovarianceError`.
     """
 
     dual: DualStructure
@@ -356,14 +356,6 @@ class CovarianceOnDual:
                 f"covariance is missing irreducible label {label}", [label]
             )
         return self.values[label]
-
-    def value_at(self, vec: DualVector) -> complex:
-        missing = [k for k in vec.support if k not in self.values]
-        if missing:
-            raise IncompleteCovarianceError(
-                f"covariance is missing irreducible labels {missing}", missing
-            )
-        return sum(mult * self.values[k] for k, mult in vec.items())
 
 
 def fourier(measure: CentralMeasure, label: Label) -> complex:
@@ -413,12 +405,7 @@ def gram_matrix(phi: CovarianceOnDual, labels: Sequence[Label]) -> np.ndarray:
     labels = list(labels)
     if len(set(labels)) != len(labels):
         raise ValueError("gram_matrix labels must be distinct")
-    dual = phi.dual
-    out = np.empty((len(labels), len(labels)), dtype=complex)
-    for m, a in enumerate(labels):
-        for n, b in enumerate(labels):
-            out[m, n] = phi.value_at(dual.tensor(a, dual.conjugate(b)))
-    return out
+    return pair_matrix(phi.dual, labels, phi.value)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .stationary_fields import (
     check_stationarity,
     cramer_decompose_finite,
     estimate_covariance,
+    jackknife_estimate,
     kolmogorov_field,
     white_noise,
 )
@@ -235,12 +236,8 @@ def _series_covariance_table(field: SeriesField, n_max: int, n_samples: int, see
     rows = []
     for h in range(n_max + 1):
         exact = oracle(n_max + h, n_max)
-        products = paths[:, n_max + h] * np.conj(paths[:, n_max])
-        mean = products.mean()
-        n = products.size
-        loo = (products.sum() - products) / (n - 1)
-        stderr = float(np.sqrt((n - 1) / n * (np.abs(loo - loo.mean()) ** 2).sum()))
-        rows.append((n_max, h, exact, mean, stderr))
+        est = jackknife_estimate(paths[:, n_max + h] * np.conj(paths[:, n_max]))
+        rows.append((n_max, h, exact, est.mean, est.stderr))
     return rows
 
 

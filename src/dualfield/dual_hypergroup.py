@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -502,6 +502,28 @@ def convolve(
                     term = term * dual.dim(k)
                 out[k] = out.get(k, 0j) + term
     return DualVector(out)
+
+
+def pair_sum(dual: DualStructure, a: Label, b: Label, value: Callable, kind: str) -> complex:
+    """Sum of c_k value(k) over the convolution of the point masses at a and conj(b)."""
+    b_bar = dual.conjugate(b)
+    if kind == "representation_ring":
+        terms = dual.tensor(a, b_bar)
+    else:
+        terms = convolve(dual, DualVector.point_mass(a), DualVector.point_mass(b_bar), kind)
+    return complex(sum(c * complex(value(k)) for k, c in terms.items()))
+
+
+def pair_matrix(
+    dual: DualStructure, labels: Iterable[Label], value: Callable, kind="representation_ring"
+) -> np.ndarray:
+    """:func:`pair_sum` at every (labels[i], labels[j]), calling ``value`` once per label."""
+    labels = list(labels)
+    if not labels:
+        raise ValueError("empty label window")
+    value = cache(value)
+    rows = [[pair_sum(dual, a, b, value, kind) for b in labels] for a in labels]
+    return np.array(rows, dtype=complex)
 
 
 def conjugate_vector(dual: DualStructure, m: DualVector) -> DualVector:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .central_measures import CentralMeasure, FiniteClassMeasure
 from .dual_hypergroup import DualStructure, DualVector, FiniteGroupDual, Label, convolve
+from .dual_hypergroup import pair_matrix, pair_sum
 from .errors import CapabilityError
 
 SecondMomentOracle = Callable[[Label, Label], complex]
@@ -129,8 +130,7 @@ class KolmogorovField(FieldSampler):
         return found
 
     def second_moment(self, a, b):
-        vec = self.dual.tensor(a, self.dual.conjugate(b))
-        return complex(sum(mult * self._fourier(k) for k, mult in vec.items()))
+        return pair_sum(self.dual, a, b, self._fourier, "representation_ring")
 
     def covariance(self, label: Label) -> complex:
         """C(label) = E(Y_label conj(Y_neutral)) = transform of the measure."""
@@ -254,6 +254,14 @@ def _build_report(condition, pairs, tol):
     )
 
 
+def _check_pairs(condition, dual, oracle, labels, kind, tol):
+    labels = list(labels)
+    rhs = pair_matrix(dual, labels, lambda k: oracle(k, dual.neutral), kind).ravel().tolist()
+    grid = [(a, b) for a in labels for b in labels]
+    pairs = [(a, b, complex(oracle(a, b)), r) for (a, b), r in zip(grid, rhs)]
+    return _build_report(condition, pairs, tol)
+
+
 def check_stationarity(
     dual: DualStructure,
     oracle: SecondMomentOracle,
@@ -268,16 +276,7 @@ def check_stationarity(
     oracle must be total on the labels and on every irreducible appearing
     in those decompositions.
     """
-    labels = list(labels)
-    epsilon = dual.neutral
-    pairs = []
-    for a in labels:
-        for b in labels:
-            lhs = complex(oracle(a, b))
-            vec = dual.tensor(a, dual.conjugate(b))
-            rhs = complex(sum(mult * complex(oracle(k, epsilon)) for k, mult in vec.items()))
-            pairs.append((a, b, lhs, rhs))
-    return _build_report("statdef", pairs, tol)
+    return _check_pairs("statdef", dual, oracle, labels, "representation_ring", tol)
 
 
 def check_hypergroup_stationarity(
@@ -295,23 +294,7 @@ def check_hypergroup_stationarity(
     this is the same condition as :func:`check_stationarity`; with the
     dimension-normalized convolution it is a genuinely different one.
     """
-    labels = list(labels)
-    epsilon = dual.neutral
-    pairs = []
-    for a in labels:
-        for b in labels:
-            lhs = complex(covariance(a, b))
-            mixed = convolve(
-                dual,
-                DualVector.point_mass(a),
-                DualVector.point_mass(dual.conjugate(b)),
-                kind,
-            )
-            rhs = complex(
-                sum(coeff * complex(covariance(k, epsilon)) for k, coeff in mixed.items())
-            )
-            pairs.append((a, b, lhs, rhs))
-    return _build_report(f"stathyp:{kind}", pairs, tol)
+    return _check_pairs(f"stathyp:{kind}", dual, covariance, labels, kind, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +418,13 @@ def estimate_covariance(
         sampler = field.reseeded(seed + j)
         values = sampler.sample_batch([pi1, pi2], count)
         chunks.append(values[pi1] * np.conj(values[pi2]))
-    products = np.concatenate(chunks)
+    return jackknife_estimate(np.concatenate(chunks))
+
+
+def jackknife_estimate(products: np.ndarray) -> CovarianceEstimate:
+    """Sample mean of a product array with its delete-one jackknife error."""
     n = products.size
     mean = complex(products.mean())
-    # Delete-one jackknife of the sample mean.
     leave_one_out = (products.sum() - products) / (n - 1)
     stderr = float(
         np.sqrt((n - 1) / n * (np.abs(leave_one_out - leave_one_out.mean()) ** 2).sum())

@@ -212,7 +212,11 @@ def parse_series_spec(text: str) -> SeriesSpec:
 
 
 class SeriesField(FieldSampler):
-    """Time-series process viewed as a field on the SU(2) dual labels."""
+    """Time-series process viewed as a field on the SU(2) dual labels.
+
+    For MA(q) ``second_moment`` is the steady-regime moment but ``sample_batch``
+    starts from Z_j = 0, so Monte Carlo at labels below q misses the oracle.
+    """
 
     def __init__(self, spec: SeriesSpec, seed=0, dual: SU2Dual | None = None):
         self.spec = spec

@@ -125,6 +125,11 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             heat_kernel_measure(-1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            heat_kernel_measure(t)
+
 
 class TestBochnerInversion:
     def test_haar_from_white_noise_covariance(self, s3):

@@ -87,6 +87,12 @@ class TestSpectralCommand:
         code, _, err = run(capsys, "spectral", "--dual", "finite:s3", "heat:1")
         assert code == 2
 
+    def test_infinite_heat_time_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "spectral", "--dual", "su2", "--bound", "3", "heat:inf")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestInvertCommand:
     def test_white_noise_covariance_gives_haar(self, capsys):
@@ -223,6 +229,16 @@ class TestCheckCommand:
     def test_series_need_su2(self, capsys):
         code, _, err = run(capsys, "check", "--dual", "torus", "ar1:0.9,0")
         assert code == 2
+
+    @pytest.mark.parametrize("window", [("--labels", "5..2"), ("--bound", "-1")])
+    @pytest.mark.parametrize("kind", ["statdef", "representation_ring", "normalized"])
+    def test_empty_window_is_usage_error(self, capsys, window, kind):
+        code, out, err = run(
+            capsys, "check", "--dual", "su2", *window, "--kind", kind, "whitenoise"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestCramerCommand:

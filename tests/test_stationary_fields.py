@@ -14,6 +14,7 @@ from dualfield import (
     cramer_decompose_finite,
     estimate_covariance,
     evaluate_at_vector,
+    gram_matrix,
     heat_kernel_measure,
     is_positive_definite,
     kolmogorov_field,
@@ -154,6 +155,22 @@ class TestKolmogorovField:
         exact = field.second_moment(1, 1)
         est = estimate_covariance(field, 1, 1, 200000, seed=8)
         assert abs(est.mean - exact) <= 4 * est.stderr
+
+
+class TestEmptyWindows:
+    def test_checks_refuse_an_empty_window(self, su2, s3):
+        for dual in (su2, s3):
+            oracle = white_noise(dual, seed=1).second_moment
+            with pytest.raises(ValueError):
+                check_stationarity(dual, oracle, [])
+            for kind in ("representation_ring", "normalized"):
+                with pytest.raises(ValueError):
+                    check_hypergroup_stationarity(dual, oracle, range(0), kind=kind)
+
+    def test_gram_matrix_refuses_an_empty_window(self, su2):
+        phi = CovarianceOnDual(su2, {0: 1.0})
+        with pytest.raises(ValueError):
+            gram_matrix(phi, [])
 
 
 class TestHypergroupSeparation:
