@@ -197,10 +197,13 @@ class SU2AngleMeasure(_AngleMeasure):
         return theta, np.asarray(self.density(theta), dtype=float) * base
 
     def _integrate_density(self) -> float:
+        # Quadrature weights times the density at the nodes, kept for fourier.
+        self._weighted_density = None
         if self.density is None:
             return 0.0
         theta, weights = weyl_quadrature(self.dual.quadrature_nodes)
-        return float((weights * np.asarray(self.density(theta), dtype=float)).sum())
+        self._weighted_density = weights * np.asarray(self.density(theta), dtype=float)
+        return float(self._weighted_density.sum())
 
     def fourier(self, label: Label) -> complex:
         n = self.dual.validate_label(label)
@@ -210,12 +213,10 @@ class SU2AngleMeasure(_AngleMeasure):
             ws = np.array([w for _, w in self.atoms])
             chars = su2_character_values(n, thetas)[n]
             total += complex((ws * chars).sum())
-        if self.density is not None:
-            theta, weights = weyl_quadrature(self.dual.quadrature_nodes)
+        if self._weighted_density is not None:
+            theta, _ = weyl_quadrature(self.dual.quadrature_nodes)
             chars = su2_character_values(n, theta)[n]
-            total += complex(
-                (weights * np.asarray(self.density(theta), dtype=float) * chars).sum()
-            )
+            total += complex((self._weighted_density * chars).sum())
         return total
 
     def character_at(self, label, coordinates):
@@ -290,7 +291,9 @@ def heat_kernel_measure(t: float, quadrature_nodes: int = 256) -> SU2AngleMeasur
     series with coefficients (n+1) e^{-t n (n+2)}, truncated once the
     sup-norm of the next term falls below the series tail tolerance.
     The eigenvalue normalization is n (n+2) for label n, with t exposed
-    so any other scale is a reparametrization.
+    so any other scale is a reparametrization.  A truncation order above
+    ``quadrature_nodes`` is past what the quadrature rule integrates
+    correctly, so such small t raise :class:`ValueError`.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"heat kernel time must be finite and positive, got {t}")
@@ -301,6 +304,11 @@ def heat_kernel_measure(t: float, quadrature_nodes: int = 256) -> SU2AngleMeasur
         # |chi_n| <= n + 1, so this bounds the term uniformly in the angle.
         if n > 0 and coeff * (n + 1) < HEAT_SERIES_TAIL:
             break
+        if n > quadrature_nodes:
+            raise ValueError(
+                f"heat kernel t={t:g}: truncation order exceeds {quadrature_nodes}, "
+                f"past the {quadrature_nodes}-node quadrature rule"
+            )
         coefficients.append(coeff)
         n += 1
     coeffs = np.asarray(coefficients)

@@ -89,16 +89,20 @@ def _load_group(name: str) -> FiniteGroupDual:
 
 
 def parse_labels(dual: DualStructure, text: str | None, bound: int | None):
-    if text:
-        if ".." in text:
-            lo, hi = text.split("..", maxsplit=1)
-            return [dual.validate_label(n) for n in range(int(lo), int(hi) + 1)]
-        return [dual.label_from_str(item) for item in text.split(",")]
-    if isinstance(dual, FiniteGroupDual):
-        return dual.labels()
-    if bound is None:
+    if text and ".." in text:
+        lo, hi = text.split("..", maxsplit=1)
+        labels = [dual.validate_label(n) for n in range(int(lo), int(hi) + 1)]
+    elif text:
+        labels = [dual.label_from_str(item) for item in text.split(",")]
+    elif isinstance(dual, FiniteGroupDual):
+        labels = dual.labels()
+    elif bound is None:
         raise ValueError("this dual needs --labels or --bound to fix a window")
-    return dual.labels(bound)
+    else:
+        labels = dual.labels(bound)
+    if not labels:
+        raise ValueError("empty label window")
+    return labels
 
 
 def parse_vector_spec(dual: DualStructure, text: str) -> DualVector:

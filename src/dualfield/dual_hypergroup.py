@@ -15,11 +15,11 @@ Finitely supported complex-coefficient functions on labels are held in
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -190,6 +190,15 @@ class DualStructure:
     def tensor(self, a: Label, b: Label) -> DualVector:
         raise NotImplementedError
 
+    def multiplicities(self, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[Label, np.ndarray]]:
+        """Tensor multiplicities over a grid of validated label pairs.
+
+        ``a`` is an integer column and ``b`` an integer row.  Yields
+        ``(k, m)`` in ascending k for every irreducible k that occurs,
+        where ``m[i, j]`` is the multiplicity of k in ``a[i] (x) b[j]``.
+        """
+        raise NotImplementedError
+
     def labels(self, bound: int | None = None) -> list[Label]:
         """Enumerate labels; infinite duals require an explicit bound."""
         raise NotImplementedError
@@ -233,6 +242,11 @@ class TorusDual(DualStructure):
     def tensor(self, a: Label, b: Label) -> DualVector:
         return DualVector({self.validate_label(a) + self.validate_label(b): 1})
 
+    def multiplicities(self, a, b):
+        total = a + b
+        for k in np.unique(total):
+            yield int(k), (total == k).astype(int)
+
     def labels(self, bound: int | None = None) -> list[Label]:
         if bound is None:
             raise ValueError("torus dual enumeration requires an explicit bound")
@@ -264,6 +278,15 @@ class SU2Dual(DualStructure):
         a = self.validate_label(a)
         b = self.validate_label(b)
         return DualVector({k: 1 for k in range(abs(a - b), a + b + 1, 2)})
+
+    def multiplicities(self, a, b):
+        # Clebsch-Gordan: k occurs once when |a-b| <= k <= a+b and k = a+b mod 2.
+        low, high = np.abs(a - b), a + b
+        parity = high % 2
+        for k in range(int(low.min()), int(high.max()) + 1):
+            m = ((low <= k) & (k <= high) & (parity == k % 2)).astype(int)
+            if m.any():
+                yield k, m
 
     def labels(self, bound: int | None = None) -> list[Label]:
         if bound is None:
@@ -359,13 +382,9 @@ class FiniteGroupDual(DualStructure):
         self._dims = tuple(int(round(d.real)) for d in data.characters[:, 0])
         self._conjugate = self._match_conjugates()
         self._name_index = {n: i for i, n in enumerate(data.irrep_names)}
-        # The full decomposition table is computed up front; the dual is
-        # immutable afterwards and safe to share across threads.
-        self._tensor_table = {
-            (a, b): self._tensor_by_class_sum(a, b)
-            for a in range(data.num_classes)
-            for b in range(a, data.num_classes)
-        }
+        # The structure constants N[a, b, k] are computed up front; the dual
+        # is immutable afterwards and safe to share across threads.
+        self._structure = self._structure_constants()
 
     def _match_conjugates(self) -> tuple[int, ...]:
         chars = self.data.characters
@@ -395,23 +414,34 @@ class FiniteGroupDual(DualStructure):
         return self._conjugate[self.validate_label(label)]
 
     def tensor(self, a: Label, b: Label) -> DualVector:
-        a = self.validate_label(a)
-        b = self.validate_label(b)
-        return self._tensor_table[(a, b) if a <= b else (b, a)]
+        row = self._structure[self.validate_label(a), self.validate_label(b)].tolist()
+        return DualVector({k: m for k, m in enumerate(row) if m})
 
-    def _tensor_by_class_sum(self, a: Label, b: Label) -> DualVector:
+    def multiplicities(self, a, b):
+        grid = self._structure[a, b]
+        for k in range(self.data.num_classes):
+            m = grid[..., k]
+            if m.any():
+                yield k, m
+
+    def _structure_constants(self) -> np.ndarray:
+        """N[a, b, k] from the class sums of chi_a chi_b conj(chi_k), checked integral."""
         data = self.data
+        chars = data.characters
         sizes = np.asarray(data.class_sizes)
-        product = data.characters[a] * data.characters[b]
-        coeffs = {}
-        for target in range(data.num_classes):
-            raw = (sizes * product * data.characters[target].conj()).sum() / data.order
-            mult = _recover_multiplicity(
-                raw, f"{self.name}: multiplicity of {target} in {a}x{b}"
-            )
-            if mult:
-                coeffs[target] = mult
-        return DualVector(coeffs)
+        raw = np.einsum("c,ac,bc,kc->abk", sizes, chars, chars, chars.conj()) / data.order
+        raw = raw.tolist()
+        r = data.num_classes
+        out = np.zeros((r, r, r), dtype=int)
+        for a in range(r):
+            for b in range(a, r):
+                out[a, b] = out[b, a] = [
+                    _recover_multiplicity(
+                        raw[a][b][k], f"{self.name}: multiplicity of {k} in {a}x{b}"
+                    )
+                    for k in range(r)
+                ]
+        return out
 
     def labels(self, bound: int | None = None) -> list[Label]:
         return list(range(self.data.num_classes))
@@ -504,26 +534,39 @@ def convolve(
     return DualVector(out)
 
 
-def pair_sum(dual: DualStructure, a: Label, b: Label, value: Callable, kind: str) -> complex:
-    """Sum of c_k value(k) over the convolution of the point masses at a and conj(b)."""
-    b_bar = dual.conjugate(b)
-    if kind == "representation_ring":
-        terms = dual.tensor(a, b_bar)
-    else:
-        terms = convolve(dual, DualVector.point_mass(a), DualVector.point_mass(b_bar), kind)
+def pair_sum(dual: DualStructure, a: Label, b: Label, value: Callable) -> complex:
+    """Sum of m_k value(k) over the decomposition of a (x) conj(b)."""
+    terms = dual.tensor(a, dual.conjugate(b))
     return complex(sum(c * complex(value(k)) for k, c in terms.items()))
 
 
 def pair_matrix(
     dual: DualStructure, labels: Iterable[Label], value: Callable, kind="representation_ring"
 ) -> np.ndarray:
-    """:func:`pair_sum` at every (labels[i], labels[j]), calling ``value`` once per label."""
+    """Sum of c_k value(k) over the convolution of the point masses at a and conj(b).
+
+    Entry (i, j) takes a = labels[i] and b = labels[j].  The coefficients
+    c_k are those :func:`convolve` gives under ``kind``: the multiplicity
+    m_k of k in a (x) conj(b), or ((1 / (d_a d_b)) m_k) d_k when
+    normalized.  ``value`` is called once per irreducible that occurs,
+    in ascending order, and its terms are added in ascending k, as
+    :func:`convolve` orders them, so every entry is the per-pair sum.
+    """
+    if kind not in ("representation_ring", "normalized"):
+        raise ValueError(f"unknown convolution kind {kind!r}")
     labels = list(labels)
     if not labels:
         raise ValueError("empty label window")
-    value = cache(value)
-    rows = [[pair_sum(dual, a, b, value, kind) for b in labels] for a in labels]
-    return np.array(rows, dtype=complex)
+    a = np.array([dual.validate_label(x) for x in labels])[:, None]
+    b = np.array([dual.conjugate(x) for x in labels])[None, :]
+    if kind == "normalized":
+        dims = np.array([dual.dim(x) for x in labels])
+        scale = 1.0 / (dims[:, None] * dims[None, :])
+    out = np.zeros((len(labels), len(labels)), dtype=complex)
+    for k, m in dual.multiplicities(a, b):
+        c = m if kind == "representation_ring" else scale * m * dual.dim(k)
+        np.add(out, c * complex(value(k)), out=out, where=m != 0)
+    return out
 
 
 def conjugate_vector(dual: DualStructure, m: DualVector) -> DualVector:

@@ -130,7 +130,7 @@ class KolmogorovField(FieldSampler):
         return found
 
     def second_moment(self, a, b):
-        return pair_sum(self.dual, a, b, self._fourier, "representation_ring")
+        return pair_sum(self.dual, a, b, self._fourier)
 
     def covariance(self, label: Label) -> complex:
         """C(label) = E(Y_label conj(Y_neutral)) = transform of the measure."""
@@ -405,8 +405,6 @@ def estimate_covariance(
     (seed + stream index) and per-stream counts, so a sharded run gives
     the same value as the equivalent sequence of single-stream runs.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples for a standard error")
     if not 1 <= n_streams <= n_samples:
         raise ValueError("stream count must be between 1 and the sample count")
     base, extra = divmod(n_samples, n_streams)
@@ -424,6 +422,8 @@ def estimate_covariance(
 def jackknife_estimate(products: np.ndarray) -> CovarianceEstimate:
     """Sample mean of a product array with its delete-one jackknife error."""
     n = products.size
+    if n < 2:
+        raise ValueError("need at least two samples for a standard error")
     mean = complex(products.mean())
     leave_one_out = (products.sum() - products) / (n - 1)
     stderr = float(

@@ -130,6 +130,14 @@ class TestHeatKernel:
         with pytest.raises(ValueError, match="finite"):
             heat_kernel_measure(t)
 
+    def test_series_order_capped_by_quadrature_nodes(self):
+        assert heat_kernel_measure(1e-3).truncation_order == 206
+        with pytest.raises(ValueError, match="exceeds 256, past the 256-node"):
+            heat_kernel_measure(1e-9)
+        assert heat_kernel_measure(0.05, quadrature_nodes=64).truncation_order <= 64
+        with pytest.raises(ValueError, match="exceeds 32"):
+            heat_kernel_measure(0.01, quadrature_nodes=32)
+
 
 class TestBochnerInversion:
     def test_haar_from_white_noise_covariance(self, s3):

@@ -93,6 +93,19 @@ class TestSpectralCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_heat_time_past_the_quadrature_rule_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "spectral", "--dual", "su2", "--bound", "3", "heat:1e-9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "256" in err
+
+    @pytest.mark.parametrize("window", [("--labels", "5..2"), ("--bound", "-1")])
+    def test_empty_window_is_usage_error(self, capsys, window):
+        code, out, err = run(capsys, "spectral", "--dual", "su2", *window, "haar")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestInvertCommand:
     def test_white_noise_covariance_gives_haar(self, capsys):
@@ -149,6 +162,17 @@ class TestSimulateCommand:
         rows = out.strip().splitlines()
         assert rows[0] == "pi1,pi2,re_exact,im_exact,re_mc,im_mc,stderr"
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("spec", ["ma:1,0;1,0", "whitenoise"])
+    def test_one_sample_is_usage_error(self, capsys, spec):
+        code, out, err = run(
+            capsys,
+            "simulate", "--dual", "su2", "--bound", "1",
+            "--seed", "3", "--samples", "1", spec,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "two samples" in err
 
     def test_finite_dual_needs_no_bound(self, capsys):
         code, out, _ = run(

@@ -328,6 +328,24 @@ class TestLoadCharacterTable:
         with pytest.raises(DataIntegrityError):
             _recover_multiplicity(-1.0 + 0j, "negative")
 
+    def test_orthonormal_table_without_integer_multiplicities(self):
+        # Real rows orthonormal under uniform weights, but no group's characters:
+        # the structure constants built at load are not integers.
+        x, y = (-1 + 3**0.5) / 2, (-1 - 3**0.5) / 2
+        doc = {
+            "name": "fake3",
+            "order": 3,
+            "class_sizes": [1, 1, 1],
+            "inverse_class": [0, 1, 2],
+            "characters": [
+                [[1, 0], [1, 0], [1, 0]],
+                [[1, 0], [x, 0], [y, 0]],
+                [[1, 0], [y, 0], [x, 0]],
+            ],
+        }
+        with pytest.raises(DataIntegrityError, match="multiplicity of 1 in 1x1"):
+            load_character_table(doc)
+
 
 class TestLabelPresentation:
     def test_finite_names_round_trip(self, q8):

@@ -2,13 +2,17 @@
 
 The reference functions below are the loops that each of
 ``check_stationarity``, ``check_hypergroup_stationarity``, ``gram_matrix``
-and ``KolmogorovField.second_moment`` used to carry.  The package must
-reproduce them bit for bit: the same terms added in the same order give
-the same reports (witness order included), Gram matrices and moments.
+and ``KolmogorovField.second_moment`` used to carry, and the per-pair sum
+that ``pair_matrix`` replaced with one masked array add per irreducible.
+The package must reproduce them bit for bit: the same terms added in the
+same order give the same reports (witness order included), Gram
+matrices, moments and pair matrices.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualfield import (
     CovarianceOnDual,
@@ -25,7 +29,10 @@ from dualfield import (
     gram_matrix,
     heat_kernel_measure,
     kolmogorov_field,
+    load_character_table,
     ma_second_moment_oracle,
+    su2_dual,
+    torus_dual,
     translate,
     white_noise,
 )
@@ -104,6 +111,24 @@ def ref_gram_matrix(phi, labels):
 def ref_kolmogorov_second_moment(field, a, b):
     vec = field.dual.tensor(a, field.dual.conjugate(b))
     return complex(sum(mult * field.measure.fourier(k) for k, mult in vec.items()))
+
+
+def ref_pair_matrix(dual, labels, value, kind):
+    """One DualVector per pair: the tensor product or the convolution of deltas."""
+    rows = []
+    for a in labels:
+        row = []
+        for b in labels:
+            b_bar = dual.conjugate(b)
+            if kind == "representation_ring":
+                terms = dual.tensor(a, b_bar)
+            else:
+                terms = convolve(
+                    dual, DualVector.point_mass(a), DualVector.point_mass(b_bar), kind
+                )
+            row.append(complex(sum(c * complex(value(k)) for k, c in terms.items())))
+        rows.append(row)
+    return np.array(rows, dtype=complex)
 
 
 def run_check(check, dual, oracle, labels, tol):
@@ -264,3 +289,79 @@ class TestPairMatrix:
     def test_unknown_kind_rejected(self, su2):
         with pytest.raises(ValueError):
             pair_matrix(su2, [1], lambda k: 1.0, kind="bogus")
+
+
+# ---------------------------------------------------------------------------
+# Random windows against the per-pair sum
+# ---------------------------------------------------------------------------
+
+SU2 = su2_dual()
+TORUS = torus_dual()
+FINITE = {name: load_character_table(name) for name in ("s3", "q8")}
+
+SIGNED_ZEROS = [
+    complex(-0.0, -0.0),
+    complex(-0.0, 0.0),
+    complex(0.0, -0.0),
+    complex(-0.0, 2.5),
+    complex(1.5, -0.0),
+    -0.0,
+    0.0,
+]
+VALUES = st.one_of(
+    st.sampled_from(SIGNED_ZEROS),
+    st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e100, max_value=1e100, allow_nan=False),
+)
+KIND = st.sampled_from(["representation_ring", "normalized"])
+
+
+def table_value(table, offset=0):
+    return lambda k: table[k + offset]
+
+
+def assert_matches_reference(dual, labels, value, kind):
+    got = pair_matrix(dual, labels, value, kind)
+    want = ref_pair_matrix(dual, labels, value, kind)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRandomWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        labels=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+        table=st.lists(VALUES, min_size=81, max_size=81),
+        kind=KIND,
+    )
+    def test_su2(self, labels, table, kind):
+        assert_matches_reference(SU2, labels, table_value(table), kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        labels=st.lists(st.integers(-20, 20), min_size=1, max_size=12),
+        table=st.lists(VALUES, min_size=81, max_size=81),
+        kind=KIND,
+    )
+    def test_torus(self, labels, table, kind):
+        assert_matches_reference(TORUS, labels, table_value(table, offset=40), kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(FINITE)), kind=KIND)
+    def test_finite(self, data, name, kind):
+        dual = FINITE[name]
+        labels = data.draw(
+            st.lists(st.sampled_from(dual.labels()), min_size=1, unique=True), label="labels"
+        )
+        table = data.draw(st.lists(VALUES, min_size=8, max_size=8), label="table")
+        assert_matches_reference(dual, labels, table_value(table), kind)
+
+    @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
+    def test_value_called_once_per_irreducible(self, su2, kind):
+        calls = []
+
+        def value(k):
+            calls.append(k)
+            return 1.0
+
+        pair_matrix(su2, range(61), value, kind)
+        assert calls == list(range(121))

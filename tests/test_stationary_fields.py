@@ -23,6 +23,7 @@ from dualfield import (
     weyl_quadrature,
     white_noise,
 )
+from dualfield.stationary_fields import jackknife_estimate
 
 
 def all_class_subsets(dual):
@@ -373,3 +374,8 @@ class TestEstimateCovariance:
             estimate_covariance(z, 0, 0, 1, seed=1)
         with pytest.raises(ValueError):
             estimate_covariance(z, 0, 0, 10, seed=1, n_streams=0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_jackknife_needs_two_samples(self, n):
+        with pytest.raises(ValueError, match="two samples"):
+            jackknife_estimate(np.ones(n, dtype=complex))
