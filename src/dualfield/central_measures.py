@@ -23,6 +23,7 @@ from .dual_hypergroup import (
     SU2Dual,
     TorusDual,
     pair_matrix,
+    su2_character_rows,
     su2_character_values,
     su2_dual,
     torus_dual,
@@ -57,9 +58,17 @@ class CentralMeasure:
     def sample_coordinates(self, rng: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
 
+    def characters_at(self, labels: Sequence[Label], coordinates: np.ndarray) -> np.ndarray:
+        """Characters of ``labels`` (any order, repeats allowed) at class coordinates.
+
+        Row i is the character of ``labels[i]``; a window is served by one
+        evaluation rather than one per label.
+        """
+        raise NotImplementedError
+
     def character_at(self, label: Label, coordinates: np.ndarray) -> np.ndarray:
         """Character of ``label`` evaluated at sampled class coordinates."""
-        raise NotImplementedError
+        return self.characters_at([label], coordinates)[0]
 
 
 class FiniteClassMeasure(CentralMeasure):
@@ -101,8 +110,9 @@ class FiniteClassMeasure(CentralMeasure):
         mass = self.total_mass()
         return rng.choice(len(self.class_weights), size=count, p=self.class_weights / mass)
 
-    def character_at(self, label, coordinates):
-        return self.dual.character(label)[coordinates]
+    def characters_at(self, labels, coordinates):
+        rows = [self.dual.validate_label(label) for label in labels]
+        return self.dual.data.characters[rows].take(coordinates, axis=1)
 
 
 class _AngleMeasure(CentralMeasure):
@@ -184,6 +194,12 @@ class SU2AngleMeasure(_AngleMeasure):
     ):
         self.dual = dual if dual is not None else su2_dual()
         super().__init__(atoms, density, description)
+        # fourier reads the characters at the atoms followed by the quadrature
+        # nodes from one table, built on its first call and grown as needed.
+        nodes = weyl_quadrature(self.dual.quadrature_nodes)[0] if density is not None else ()
+        self._points = np.concatenate([[t for t, _ in self.atoms], nodes])
+        self._atom_weights = np.array([w for _, w in self.atoms])
+        self._point_characters = np.empty((0, 0))
 
     def _validate_angle(self, theta):
         if not 0.0 <= theta <= math.pi:
@@ -207,21 +223,20 @@ class SU2AngleMeasure(_AngleMeasure):
 
     def fourier(self, label: Label) -> complex:
         n = self.dual.validate_label(label)
+        table = su2_character_rows(self._point_characters, n, self._points)
+        self._point_characters = table
+        chars = table[n]
+        split = len(self.atoms)
         total = 0j
         if self.atoms:
-            thetas = np.array([t for t, _ in self.atoms])
-            ws = np.array([w for _, w in self.atoms])
-            chars = su2_character_values(n, thetas)[n]
-            total += complex((ws * chars).sum())
+            total += complex((self._atom_weights * chars[:split]).sum())
         if self._weighted_density is not None:
-            theta, _ = weyl_quadrature(self.dual.quadrature_nodes)
-            chars = su2_character_values(n, theta)[n]
-            total += complex((self._weighted_density * chars).sum())
+            total += complex((self._weighted_density * chars[split:]).sum())
         return total
 
-    def character_at(self, label, coordinates):
-        n = self.dual.validate_label(label)
-        return su2_character_values(n, coordinates)[n]
+    def characters_at(self, labels, coordinates):
+        rows = [self.dual.validate_label(label) for label in labels]
+        return su2_character_values(max(rows, default=0), coordinates)[rows]
 
 
 class TorusAngleMeasure(_AngleMeasure):
@@ -253,25 +268,28 @@ class TorusAngleMeasure(_AngleMeasure):
         return np.arange(self._grid_points) * (2.0 * math.pi / self._grid_points)
 
     def _integrate_density(self) -> float:
+        # The density on the uniform grid, kept for fourier.
+        self._grid_density = None
         if self.density is None:
             return 0.0
-        theta = self._uniform_grid()
-        return float(np.mean(np.asarray(self.density(theta), dtype=float)))
+        self._grid_density = np.asarray(self.density(self._uniform_grid()), dtype=float)
+        return float(np.mean(self._grid_density))
 
     def fourier(self, label: Label) -> complex:
         n = self.dual.validate_label(label)
         total = 0j
         for theta, weight in self.atoms:
             total += weight * np.exp(1j * n * theta)
-        if self.density is not None:
+        if self._grid_density is not None:
             theta = self._uniform_grid()
-            values = np.asarray(self.density(theta), dtype=float)
-            total += complex(np.mean(values * np.exp(1j * n * theta)))
+            total += complex(np.mean(self._grid_density * np.exp(1j * n * theta)))
         return total
 
-    def character_at(self, label, coordinates):
-        n = self.dual.validate_label(label)
-        return np.exp(1j * n * np.asarray(coordinates))
+    def characters_at(self, labels, coordinates):
+        # (1j n) theta, multiplied in the order of exp(1j * n * theta) per label,
+        # keeps the sign of zero imaginary parts that 1j (n theta) would flip.
+        rows = np.array([self.dual.validate_label(label) for label in labels], dtype=int)
+        return np.exp(np.multiply.outer(1j * rows, np.asarray(coordinates)))
 
 
 # ---------------------------------------------------------------------------

@@ -247,12 +247,15 @@ def _series_covariance_table(field: SeriesField, n_max: int, n_samples: int, see
 
 def cmd_simulate(args):
     dual = resolve_dual(args.dual)
+    if args.samples is not None and args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     seed, generated = _ensure_seed(args)
     field = parse_field_spec(dual, args.spec, seed)
     if args.bound is None and (
         isinstance(field, SeriesField) or not isinstance(dual, FiniteGroupDual)
     ):
         raise ValueError("simulate needs --bound for the label window")
+    labels = parse_labels(dual, None, args.bound)
     header = f"# seed={seed}\n" if generated else ""
 
     if isinstance(field, SeriesField) and args.samples:
@@ -265,7 +268,6 @@ def cmd_simulate(args):
         ]
         return 0, header + "\n".join(lines) + "\n"
 
-    labels = parse_labels(dual, None, args.bound)
     if args.samples:
         lines = ["pi1,pi2,re_exact,im_exact,re_mc,im_mc,stderr"]
         for a in labels:

@@ -141,6 +141,21 @@ def su2_character_values(n_max: int, theta) -> np.ndarray:
     return out
 
 
+def su2_character_rows(table: np.ndarray, n: int, theta: np.ndarray) -> np.ndarray:
+    """``table`` if it holds row n, else the characters at ``theta`` in a new table.
+
+    The new table has max(n + 1, 2 len(table)) rows, so a window of labels
+    is served by O(log N) recurrence passes.  The recurrence does not
+    depend on its length, so row k holds the bits of
+    ``su2_character_values(k, theta)[k]`` whatever the table's size.
+    Callers keep the result with one assignment: a concurrent reader sees
+    either the old table or the new one.
+    """
+    if n < len(table):
+        return table
+    return su2_character_values(max(n, 2 * len(table) - 1), theta)
+
+
 @lru_cache(maxsize=8)
 def weyl_quadrature(num_nodes: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes on [0, pi] with weights folding in (2/pi) sin^2."""
@@ -254,13 +269,19 @@ class TorusDual(DualStructure):
 
 
 class SU2Dual(DualStructure):
-    """The dual of SU(2): one class per n >= 0 with dimension n + 1."""
+    """The dual of SU(2): one class per n >= 0 with dimension n + 1.
+
+    The characters at the quadrature nodes are kept once computed (see
+    :meth:`node_characters`).  The cache changes no result and is replaced
+    in one assignment, so the dual stays safe to share across threads.
+    """
 
     name = "su2"
     neutral = 0
 
     def __init__(self, quadrature_nodes: int = 256):
         self.quadrature_nodes = quadrature_nodes
+        self._node_characters = np.empty((0, 0))
 
     def validate_label(self, label: Label) -> Label:
         if not isinstance(label, (int, np.integer)) or label < 0:
@@ -293,8 +314,12 @@ class SU2Dual(DualStructure):
             raise ValueError("su2 dual enumeration requires an explicit bound")
         return list(range(bound + 1))
 
-    def character_values(self, n_max: int, theta) -> np.ndarray:
-        return su2_character_values(n_max, theta)
+    def node_characters(self, n: int) -> np.ndarray:
+        """Characters chi_0 .. chi_m, m >= n, at the quadrature nodes."""
+        theta, _ = weyl_quadrature(self.quadrature_nodes)
+        table = su2_character_rows(self._node_characters, n, theta)
+        self._node_characters = table
+        return table
 
 
 @dataclass(frozen=True)
@@ -490,8 +515,8 @@ def multiplicity_by_integration(
         a = dual.validate_label(a)
         b = dual.validate_label(b)
         target = dual.validate_label(target)
-        theta, weights = weyl_quadrature(dual.quadrature_nodes)
-        chars = su2_character_values(max(a, b, target), theta)
+        _, weights = weyl_quadrature(dual.quadrature_nodes)
+        chars = dual.node_characters(max(a, b, target))
         return float((weights * chars[a] * chars[b] * chars[target]).sum())
     if isinstance(dual, FiniteGroupDual):
         data = dual.data
@@ -593,7 +618,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def parse_group_document(document: Mapping) -> FiniteGroupData:
-    """Validate a finite-group JSON document and build its data record."""
+    """Check the schema of a finite-group JSON document and build its data record.
+
+    The invariants of the table itself are checked by :class:`FiniteGroupDual`.
+    """
     _require(isinstance(document, Mapping), "group document must be a JSON object")
     for key in ("name", "order", "class_sizes", "inverse_class", "characters"):
         _require(key in document, f"group document is missing key {key!r}")
@@ -645,7 +673,7 @@ def parse_group_document(document: Mapping) -> FiniteGroupData:
         and all(isinstance(n, str) and n for n in irrep_names),
         "irrep_names must be distinct nonempty strings, one per irreducible",
     )
-    data = FiniteGroupData(
+    return FiniteGroupData(
         name=name,
         order=order,
         class_sizes=tuple(class_sizes),
@@ -653,8 +681,6 @@ def parse_group_document(document: Mapping) -> FiniteGroupData:
         characters=table,
         irrep_names=tuple(irrep_names),
     )
-    data.validate()
-    return data
 
 
 def load_character_table(document) -> FiniteGroupDual:

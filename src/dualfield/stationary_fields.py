@@ -117,10 +117,8 @@ class KolmogorovField(FieldSampler):
         ordered = sorted(set(labels))
         coords = self.measure.sample_coordinates(self._rng, count)
         self.last_coordinates = coords
-        return {
-            label: np.asarray(self.measure.character_at(label, coords), dtype=complex)
-            for label in ordered
-        }
+        rows = np.asarray(self.measure.characters_at(ordered, coords), dtype=complex)
+        return dict(zip(ordered, rows))
 
     def _fourier(self, label: Label) -> complex:
         found = self._fourier_cache.get(label)

@@ -1,7 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualfield import (
     CapabilityError,
@@ -18,8 +22,10 @@ from dualfield import (
     heat_kernel_measure,
     heat_kernel_transform,
     is_positive_definite,
+    multiplicity_by_integration,
     parse_measure_spec,
     su2_character_values,
+    su2_dual,
     weyl_quadrature,
 )
 
@@ -309,3 +315,186 @@ def test_weyl_quadrature_orthonormality():
     chars = su2_character_values(12, theta)
     gram = (chars * weights) @ chars.T
     assert np.abs(gram - np.eye(13)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Character tables: every window read from one recurrence pass must give the
+# bits of the per-label recurrence.
+# ---------------------------------------------------------------------------
+
+
+def ref_su2_fourier(measure, n):
+    """The transform at one label, with its own recurrence run up to n."""
+    total = 0j
+    if measure.atoms:
+        thetas = np.array([t for t, _ in measure.atoms])
+        ws = np.array([w for _, w in measure.atoms])
+        total += complex((ws * su2_character_values(n, thetas)[n]).sum())
+    if measure.density is not None:
+        theta, weights = weyl_quadrature(measure.dual.quadrature_nodes)
+        weighted = weights * np.asarray(measure.density(theta), dtype=float)
+        total += complex((weighted * su2_character_values(n, theta)[n]).sum())
+    return total
+
+
+def hex_pair(z):
+    return (float(z.real).hex(), float(z.imag).hex())
+
+
+SU2_MEASURES = {
+    "heat 0.02": lambda: heat_kernel_measure(0.02),
+    "heat 0.5": lambda: heat_kernel_measure(0.5),
+    "haar": lambda: parse_measure_spec(su2_dual(), "haar"),
+    "atoms at 0 and pi": lambda: SU2AngleMeasure(atoms=[(0.0, 0.25), (1.1, 0.25), (math.pi, 0.5)]),
+    "atom at pi": lambda: SU2AngleMeasure(atoms=[(math.pi, 1.0)]),
+    "atoms and density": lambda: SU2AngleMeasure(
+        atoms=[(0.0, 0.3), (math.pi, 0.2)], density=lambda t: 0.5 + 0.5 * np.cos(t)
+    ),
+}
+WARM = {name: make() for name, make in SU2_MEASURES.items()}
+WARM_SU2 = su2_dual()
+WINDOWS = st.lists(st.integers(0, 300), min_size=1, max_size=25)
+
+
+class TestCharacterTables:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(SU2_MEASURES)), labels=WINDOWS, fresh=st.booleans())
+    def test_fourier_window_bits(self, name, labels, fresh):
+        measure = SU2_MEASURES[name]() if fresh else WARM[name]
+        got = [hex_pair(measure.fourier(n)) for n in labels]
+        assert got == [hex_pair(ref_su2_fourier(measure, n)) for n in labels]
+
+    @pytest.mark.parametrize("name", sorted(SU2_MEASURES))
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_fourier_full_window_bits(self, name, order):
+        labels = list(range(301)) if order == "ascending" else list(range(300, -1, -1))
+        measure = SU2_MEASURES[name]()
+        got = [hex_pair(measure.fourier(n)) for n in labels]
+        assert got == [hex_pair(ref_su2_fourier(measure, n)) for n in labels]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 299])
+    def test_table_is_lazy_and_at_most_twice_the_label(self, n):
+        measure = heat_kernel_measure(0.1)
+        assert len(measure._point_characters) == 0
+        measure.fourier(n)
+        assert n < len(measure._point_characters) <= 2 * n + 1
+        dual = su2_dual()
+        assert len(dual._node_characters) == 0
+        multiplicity_by_integration(dual, n, 0, n)
+        assert n < len(dual._node_characters) <= 2 * n + 1
+
+    def test_table_growth_doubles(self):
+        measure = parse_measure_spec(su2_dual(), "haar")
+        sizes = []
+        for n in range(70):
+            measure.fourier(n)
+            sizes.append(len(measure._point_characters))
+        assert sorted(set(sizes)) == [1, 2, 4, 8, 16, 32, 64, 128]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        triples=st.lists(
+            st.tuples(st.integers(0, 150), st.integers(0, 150), st.integers(0, 302)),
+            min_size=1,
+            max_size=20,
+        ),
+        fresh=st.booleans(),
+    )
+    def test_multiplicity_by_integration_bits(self, triples, fresh):
+        dual = su2_dual() if fresh else WARM_SU2
+        theta, weights = weyl_quadrature(dual.quadrature_nodes)
+        for a, b, k in triples:
+            chars = su2_character_values(max(a, b, k), theta)
+            want = float((weights * chars[a] * chars[b] * chars[k]).sum())
+            assert multiplicity_by_integration(dual, a, b, k).hex() == want.hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(SU2_MEASURES)), labels=WINDOWS, seed=st.integers(0, 99))
+    def test_su2_characters_at_bits(self, name, labels, seed):
+        measure = WARM[name]
+        coords = measure.sample_coordinates(np.random.default_rng(seed), 40)
+        rows = measure.characters_at(labels, coords)
+        for n, row in zip(labels, rows, strict=True):
+            assert row.tobytes() == su2_character_values(n, coords)[n].tobytes()
+            assert measure.character_at(n, coords).tobytes() == row.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(labels=st.lists(st.integers(-40, 40), min_size=1, max_size=12), seed=st.integers(0, 99))
+    def test_torus_characters_at_bits(self, labels, seed):
+        measure = TorusAngleMeasure(atoms=[(0.0, 0.5), (2.0, 0.5)])
+        coords = measure.sample_coordinates(np.random.default_rng(seed), 40)
+        rows = measure.characters_at(labels, coords)
+        for n, row in zip(labels, rows, strict=True):
+            # The per-label form; at theta = 0 and n < 0 its imaginary part is -0.0.
+            assert row.tobytes() == np.exp(1j * n * coords).tobytes()
+            assert measure.character_at(n, coords).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("name", ["s3", "q8"])
+    def test_finite_characters_at(self, name, request):
+        dual = request.getfixturevalue(name)
+        measure = FiniteClassMeasure.haar(dual)
+        coords = measure.sample_coordinates(np.random.default_rng(5), 40)
+        labels = dual.labels()[::-1] + dual.labels()
+        rows = measure.characters_at(labels, coords)
+        for n, row in zip(labels, rows, strict=True):
+            assert row.tobytes() == dual.character(n)[coords].tobytes()
+
+    def test_window_validates_every_label(self, su2, s3):
+        coords = np.array([0.0, 1.0])
+        with pytest.raises(LabelDomainError):
+            SU2AngleMeasure(atoms=[(0.0, 1.0)]).characters_at([0, -1], coords)
+        with pytest.raises(LabelDomainError):
+            FiniteClassMeasure.haar(s3).characters_at([0, 3], [0])
+        with pytest.raises(LabelDomainError):
+            TorusAngleMeasure(atoms=[(0.0, 1.0)]).characters_at([0, 0.5], coords)
+
+    def test_concurrent_readers_get_the_same_bits(self):
+        # Threads grow one shared table at once; each must still read a table
+        # holding its row, whichever thread's table was assigned last.
+        measure = heat_kernel_measure(0.02)
+        dual = su2_dual()
+        theta, weights = weyl_quadrature(dual.quadrature_nodes)
+        windows = [list(np.random.default_rng(i).permutation(260)) for i in range(8)]
+        want = {n: hex_pair(ref_su2_fourier(measure, n)) for n in range(260)}
+        errors = []
+
+        def work(labels):
+            try:
+                for n in labels:
+                    assert hex_pair(measure.fourier(n)) == want[n]
+                    chars = su2_character_values(n, theta)
+                    expected = float((weights * chars[n] * chars[0] * chars[n]).sum())
+                    assert multiplicity_by_integration(dual, n, 0, n).hex() == expected.hex()
+            except Exception as exc:  # reported below, in the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in windows]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_torus_density_evaluated_once(self):
+        calls = []
+
+        def density(theta):
+            calls.append(len(theta))
+            return 1.0 + 0.5 * np.cos(theta)
+
+        measure = TorusAngleMeasure(density=density)
+        before = len(calls)
+        values = [measure.fourier(n) for n in range(-5, 6)]
+        assert len(calls) == before
+        theta = np.arange(2048) * (2.0 * math.pi / 2048)
+        grid = density(theta)
+        for n, value in zip(range(-5, 6), values):
+            want = complex(np.mean(grid * np.exp(1j * n * theta)))
+            assert hex_pair(value) == hex_pair(want)
+

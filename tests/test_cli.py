@@ -174,6 +174,22 @@ class TestSimulateCommand:
         assert out == ""
         assert err.startswith("error:") and "two samples" in err
 
+    @pytest.mark.parametrize(
+        "bound, samples, needle",
+        [("-1", "5", "empty label window"), ("2", "-5", "--samples"), ("-1", "-5", "--samples")],
+    )
+    @pytest.mark.parametrize("spec", ["ar1:0.5,0", "ma:1,0;1,0", "whitenoise"])
+    def test_bad_window_or_sample_count_is_usage_error(self, capsys, spec, bound, samples, needle):
+        code, out, err = run(
+            capsys,
+            "simulate", "--dual", "su2", "--bound", bound,
+            "--seed", "3", "--samples", samples, spec,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and needle in err
+        assert "negative dimensions" not in err
+
     def test_finite_dual_needs_no_bound(self, capsys):
         code, out, _ = run(
             capsys,
@@ -306,8 +322,10 @@ class TestGroupSearchPath:
         }
         (tmp_path / "bad.json").write_text(json.dumps(document))
         monkeypatch.setenv("DUALFIELD_GROUPS", str(tmp_path))
-        code, _, err = run(capsys, "tensor", "--dual", "finite:bad", "0", "0")
+        code, out, err = run(capsys, "tensor", "--dual", "finite:bad", "0", "0")
         assert code == 3
+        assert out == ""
+        assert err.startswith("data error: bad: character rows are not orthonormal")
 
     def test_unknown_group_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("DUALFIELD_GROUPS", raising=False)

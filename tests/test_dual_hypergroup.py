@@ -7,6 +7,7 @@ from dualfield import (
     DataIntegrityError,
     DualVector,
     CapabilityError,
+    FiniteGroupData,
     LabelDomainError,
     SchemaError,
     conjugate_vector,
@@ -292,6 +293,25 @@ class TestLoadCharacterTable:
         doc["characters"][2][2] = [-1.001, 0]
         with pytest.raises(DataIntegrityError):
             load_character_table(doc)
+
+    def test_corrupt_table_message(self):
+        doc = self._s3_document()
+        doc["characters"][2][2] = [-1.001, 0]
+        with pytest.raises(DataIntegrityError, match="s3copy: character rows are not orthonormal"):
+            load_character_table(doc)
+
+    def test_table_validated_once(self, monkeypatch):
+        calls = []
+        original = FiniteGroupData.validate
+
+        def counted(data):
+            calls.append(data.name)
+            original(data)
+
+        monkeypatch.setattr(FiniteGroupData, "validate", counted)
+        load_character_table(self._s3_document())
+        load_character_table("q8")
+        assert calls == ["s3copy", "q8"]
 
     def test_bad_class_sizes(self):
         doc = self._s3_document()

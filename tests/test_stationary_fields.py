@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualfield import (
     CapabilityError,
     CovarianceOnDual,
     FiniteClassMeasure,
+    SU2AngleMeasure,
+    TorusAngleMeasure,
     bochner_invert_finite,
     check_hypergroup_stationarity,
     check_stationarity,
@@ -379,3 +383,77 @@ class TestEstimateCovariance:
     def test_jackknife_needs_two_samples(self, n):
         with pytest.raises(ValueError, match="two samples"):
             jackknife_estimate(np.ones(n, dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# Kolmogorov windows: one character table per draw, the bits of the per-label rows
+# ---------------------------------------------------------------------------
+
+
+def su2_row(n, coords):
+    return np.asarray(su2_character_values(n, coords)[n], dtype=complex)
+
+
+def torus_row(n, coords):
+    return np.asarray(np.exp(1j * n * coords), dtype=complex)
+
+
+SAMPLED_MEASURES = {
+    "su2 heat": (lambda: heat_kernel_measure(0.05), su2_row, st.integers(0, 200)),
+    "su2 atoms at 0 and pi": (
+        lambda: SU2AngleMeasure(atoms=[(0.0, 0.3), (0.7, 0.3), (math.pi, 0.4)]),
+        su2_row,
+        st.integers(0, 200),
+    ),
+    "torus atom at 0": (
+        lambda: TorusAngleMeasure(atoms=[(0.0, 0.5)], density=lambda t: 0.5 + 0 * t),
+        torus_row,
+        st.integers(-60, 60),
+    ),
+}
+
+
+class TestKolmogorovWindows:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(SAMPLED_MEASURES)), seed=st.integers(0, 999))
+    def test_angle_sample_batch_bits(self, data, name, seed):
+        make, row, label = SAMPLED_MEASURES[name]
+        labels = data.draw(st.lists(label, min_size=1, max_size=20), label="labels")
+        field = kolmogorov_field(make(), seed)
+        batch = field.sample_batch(labels, 64)
+        coords = field.last_coordinates
+        assert list(batch) == sorted(set(labels))
+        for n, values in batch.items():
+            assert values.tobytes() == row(n, coords).tobytes()
+
+    @pytest.mark.parametrize("name", ["s3", "q8"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_finite_sample_batch_bits(self, name, seed, request):
+        dual = request.getfixturevalue(name)
+        field = kolmogorov_field(FiniteClassMeasure.haar(dual), seed)
+        labels = dual.labels()[::-1] * 2
+        batch = field.sample_batch(labels, 64)
+        coords = field.last_coordinates
+        assert list(batch) == dual.labels()
+        for n, values in batch.items():
+            want = np.asarray(dual.character(n)[coords], dtype=complex)
+            assert values.tobytes() == want.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(labels=st.lists(st.integers(0, 120), min_size=1, max_size=15), shift=st.integers(1, 4))
+    def test_translated_sample_batch_bits(self, labels, shift):
+        base = kolmogorov_field(heat_kernel_measure(0.1), 11)
+        batch = translate(base, shift).sample_batch(labels, 32)
+        coords = base.last_coordinates
+        for n, values in batch.items():
+            # Clebsch-Gordan range of n (x) shift, each term with multiplicity 1 + 0j.
+            terms = [(1 + 0j) * su2_row(k, coords) for k in range(abs(n - shift), n + shift + 1, 2)]
+            want = terms[0]
+            for term in terms[1:]:
+                want = want + term
+            assert values.tobytes() == want.tobytes()
+
+    def test_empty_window_draws_nothing(self):
+        field = kolmogorov_field(heat_kernel_measure(0.5), 3)
+        assert field.sample_batch([], 5) == {}
+        assert field.last_coordinates.shape == (5,)
