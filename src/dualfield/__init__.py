@@ -67,6 +67,7 @@ from .stationary_fields import (
     kolmogorov_field,
     translate,
     white_noise,
+    white_noise_sequence,
 )
 from .time_series import (
     SeriesField,
@@ -82,7 +83,6 @@ from .time_series import (
     simulate_ar1_batch,
     simulate_ma,
     simulate_ma_batch,
-    white_noise_sequence,
 )
 
 __version__ = "0.1.0"

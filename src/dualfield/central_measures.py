@@ -38,6 +38,7 @@ from .errors import (
 NEGATIVE_WEIGHT_TOL = 1e-10
 HEAT_SERIES_TAIL = 1e-14
 _SAMPLING_GRID = 8192
+_TORUS_GRID = 2048  # uniform points of the torus density's transform
 
 
 class CentralMeasure:
@@ -83,6 +84,8 @@ class FiniteClassMeasure(CentralMeasure):
                 f"{dual.name}: expected {dual.data.num_classes} class weights, "
                 f"got {weights.shape}"
             )
+        if not np.isfinite(weights).all():
+            raise ValueError(f"{dual.name}: class weights must be finite, got {weights.tolist()}")
         if weights.min() < 0:
             raise ValueError(f"{dual.name}: negative class weight {weights.min()}")
         self.dual = dual
@@ -122,8 +125,8 @@ class _AngleMeasure(CentralMeasure):
         atoms = [(float(t), float(w)) for t, w in atoms]
         for theta, weight in atoms:
             self._validate_angle(theta)
-            if weight < 0:
-                raise ValueError(f"negative atom weight {weight}")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"atom weight must be finite and nonnegative, got {weight}")
         self.atoms = tuple(atoms)
         self.density = density
         self.description = description
@@ -248,10 +251,8 @@ class TorusAngleMeasure(_AngleMeasure):
         density: Callable[[np.ndarray], np.ndarray] | None = None,
         dual: TorusDual | None = None,
         description: str = "torus angle measure",
-        grid_points: int = 2048,
     ):
         self.dual = dual if dual is not None else torus_dual()
-        self._grid_points = grid_points
         super().__init__(atoms, density, description)
 
     def _validate_angle(self, theta):
@@ -265,7 +266,7 @@ class TorusAngleMeasure(_AngleMeasure):
         return theta, np.asarray(self.density(theta), dtype=float) / (2.0 * math.pi)
 
     def _uniform_grid(self):
-        return np.arange(self._grid_points) * (2.0 * math.pi / self._grid_points)
+        return np.arange(_TORUS_GRID) * (2.0 * math.pi / _TORUS_GRID)
 
     def _integrate_density(self) -> float:
         # The density on the uniform grid, kept for fourier.
@@ -403,6 +404,8 @@ def bochner_invert_finite(phi: CovarianceOnDual) -> FiniteClassMeasure:
         raise CapabilityError("exact inversion requires a finite-group dual")
     labels = dual.labels()
     rhs = np.array([phi.value(i) for i in labels])
+    if not np.isfinite(rhs).all():
+        raise ValueError(f"{dual.name}: transform values must be finite, got {rhs.tolist()}")
     table = dual.data.characters
     try:
         weights = np.linalg.solve(table, rhs)

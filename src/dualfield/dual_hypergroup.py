@@ -559,12 +559,6 @@ def convolve(
     return DualVector(out)
 
 
-def pair_sum(dual: DualStructure, a: Label, b: Label, value: Callable) -> complex:
-    """Sum of m_k value(k) over the decomposition of a (x) conj(b)."""
-    terms = dual.tensor(a, dual.conjugate(b))
-    return complex(sum(c * complex(value(k)) for k, c in terms.items()))
-
-
 def pair_matrix(
     dual: DualStructure, labels: Iterable[Label], value: Callable, kind="representation_ring"
 ) -> np.ndarray:

@@ -13,17 +13,31 @@ oracles only; Monte Carlo enters solely through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .central_measures import CentralMeasure, FiniteClassMeasure
-from .dual_hypergroup import DualStructure, DualVector, FiniteGroupDual, Label, convolve
-from .dual_hypergroup import pair_matrix, pair_sum
+from .dual_hypergroup import DualStructure, DualVector, FiniteGroupDual, Label, pair_matrix
+from .dual_hypergroup import convolve  # noqa: F401  perfbench/instrument.py wraps this name
 from .errors import CapabilityError
 
 SecondMomentOracle = Callable[[Label, Label], complex]
+
+
+def white_noise_sequence(shape, seed=None, rng=None) -> np.ndarray:
+    """Circular complex Gaussian draws with unit second moment.
+
+    ``shape`` is a count or a tuple.  The real parts are drawn first as one
+    block of that shape and the imaginary parts after them.
+    """
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    shape = shape if isinstance(shape, tuple) else (shape,)
+    block = rng.normal(size=(2, *shape), scale=np.sqrt(0.5))
+    return block[0] + 1j * block[1]
 
 
 def evaluate_at_vector(sample: Mapping[Label, object], vec: DualVector):
@@ -81,8 +95,7 @@ class WhiteNoiseField(FieldSampler):
         ordered = sorted(set(labels))
         for label in ordered:
             self.dual.validate_label(label)
-        block = self._rng.normal(size=(2, count, len(ordered)), scale=np.sqrt(0.5))
-        values = block[0] + 1j * block[1]
+        values = white_noise_sequence((count, len(ordered)), rng=self._rng)
         return {label: values[:, i] for i, label in enumerate(ordered)}
 
     def second_moment(self, a, b):
@@ -128,7 +141,8 @@ class KolmogorovField(FieldSampler):
         return found
 
     def second_moment(self, a, b):
-        return pair_sum(self.dual, a, b, self._fourier)
+        terms = self.dual.tensor(a, self.dual.conjugate(b))
+        return complex(sum(c * complex(self._fourier(k)) for k, c in terms.items()))
 
     def covariance(self, label: Label) -> complex:
         """C(label) = E(Y_label conj(Y_neutral)) = transform of the measure."""
@@ -253,6 +267,8 @@ def _build_report(condition, pairs, tol):
 
 
 def _check_pairs(condition, dual, oracle, labels, kind, tol):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     labels = list(labels)
     rhs = pair_matrix(dual, labels, lambda k: oracle(k, dual.neutral), kind).ravel().tolist()
     grid = [(a, b) for a in labels for b in labels]
@@ -347,13 +363,13 @@ class ScatteredMeasure:
 
 
 def cramer_decompose_finite(field: KolmogorovField) -> ScatteredMeasure:
-    """Adjoint construction of the scattered measure for a finite field.
+    """Scattered measure of a finite field: Gamma({c}) is the indicator of class c.
 
-    In the sample space of the constructed field, the span of the field
-    values maps isometrically onto central functions by sending Y_pi to
-    its character; the scattered measure of a class is the adjoint image
-    of that class indicator.  Classes of measure zero carry the zero
-    variable, which the descriptor records.
+    The sample point of the constructed field is the class coordinate and
+    Y_pi = chi_pi(class) = sum_c chi_pi(c) 1_c, so the indicators integrate
+    the characters to the field exactly and scatter orthogonally,
+    E(1_a conj(1_b)) = mu({a} & {b}).  Classes of measure zero carry the
+    zero variable, which the descriptor records.
     """
     if not isinstance(field, KolmogorovField) or not isinstance(
         field.measure, FiniteClassMeasure
@@ -363,13 +379,8 @@ def cramer_decompose_finite(field: KolmogorovField) -> ScatteredMeasure:
         )
     measure = field.measure
     dual: FiniteGroupDual = measure.dual
-    chars = dual.data.characters
     w = measure.class_weights
-    # Gram[i, j] = <Y_i, Y_j>; right-hand side column c is <1_c, chi_i>.
-    gram = (chars * w) @ chars.conj().T
-    rhs = chars.conj() * w
-    coeffs, *_ = np.linalg.lstsq(gram.T, rhs, rcond=None)
-    values = coeffs.T @ chars
+    values = np.diag((w > 0).astype(float))
     dead = [dual.label_to_str(c) for c in range(len(w)) if w[c] == 0]
     note = f"; null classes: {', '.join(dead)}" if dead else ""
     return ScatteredMeasure(

@@ -11,23 +11,16 @@ moments only.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dual_hypergroup import Label, SU2Dual, su2_dual
-from .stationary_fields import FieldSampler
+from .stationary_fields import FieldSampler, white_noise_sequence
 
 UNIT_CIRCLE_TOL = 1e-8
-
-
-def white_noise_sequence(count: int, seed=None, rng=None) -> np.ndarray:
-    """Circular complex Gaussian draws with unit second moment."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    block = rng.normal(size=(2, count), scale=np.sqrt(0.5))
-    return block[0] + 1j * block[1]
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +52,7 @@ def simulate_ar1(lam: complex, n_max: int, seed=None, noise=None) -> np.ndarray:
 
 def simulate_ar1_batch(lam: complex, n_max: int, n_paths: int, seed) -> np.ndarray:
     """Independent AR(1) paths as rows of an (n_paths, n_max + 1) array."""
-    rng = np.random.default_rng(seed)
-    noise = (
-        rng.normal(size=(n_paths, n_max + 1), scale=np.sqrt(0.5))
-        + 1j * rng.normal(size=(n_paths, n_max + 1), scale=np.sqrt(0.5))
-    )
+    noise = white_noise_sequence((n_paths, n_max + 1), seed=seed)
     out = np.empty_like(noise)
     previous = np.zeros(n_paths, dtype=complex)
     for n in range(n_max + 1):
@@ -124,11 +113,7 @@ def simulate_ma(beta: Sequence[complex], n_max: int, seed=None, noise=None) -> n
 
 def simulate_ma_batch(beta: Sequence[complex], n_max: int, n_paths: int, seed) -> np.ndarray:
     beta = np.asarray(beta, dtype=complex)
-    rng = np.random.default_rng(seed)
-    noise = (
-        rng.normal(size=(n_paths, n_max + 1), scale=np.sqrt(0.5))
-        + 1j * rng.normal(size=(n_paths, n_max + 1), scale=np.sqrt(0.5))
-    )
+    noise = white_noise_sequence((n_paths, n_max + 1), seed=seed)
     out = np.zeros_like(noise)
     for k, coeff in enumerate(beta):
         if k > n_max:
@@ -180,6 +165,8 @@ class SeriesSpec:
             raise ValueError("ar1 takes exactly one coefficient")
         if self.kind == "ma" and not self.coefficients:
             raise ValueError("ma needs at least the k = 0 coefficient")
+        if not all(cmath.isfinite(c) for c in self.coefficients):
+            raise ValueError(f"{self.kind} coefficients must be finite, got {self.coefficients}")
 
     def oracle(self) -> Callable[[Label, Label], complex]:
         if self.kind == "ar1":

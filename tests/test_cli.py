@@ -1,9 +1,12 @@
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dualfield.cli import main
+from dualfield import BUILTIN_GROUPS
+from dualfield.cli import main, resolve_dual
 
 
 def run(capsys, *argv):
@@ -331,3 +334,86 @@ class TestGroupSearchPath:
         monkeypatch.delenv("DUALFIELD_GROUPS", raising=False)
         code, _, err = run(capsys, "tensor", "--dual", "finite:mystery", "0", "0")
         assert code == 2
+
+
+def cyclic_table(n):
+    """Character table of the cyclic group of order n: chi_j(c) = e^{2 pi i j c / n}."""
+    angles = 2.0 * math.pi * np.outer(np.arange(n), np.arange(n)) / n
+    return {
+        "name": f"c{n}",
+        "order": n,
+        "class_sizes": [1] * n,
+        "inverse_class": [(-c) % n for c in range(n)],
+        "characters": np.stack([np.cos(angles), np.sin(angles)], axis=-1).tolist(),
+    }
+
+
+D4_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "d4.json"
+
+
+class TestCramerClosedForm:
+    def test_sixteen_classes_exact(self, capsys, tmp_path):
+        # 4^16 subset pairs would take hours; the class-pair check is 16^2.
+        path = tmp_path / "c16.json"
+        path.write_text(json.dumps(cyclic_table(16)))
+        code, out, _ = run(capsys, "cramer", "--dual", f"finite:{path}", "haar")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["classes"]) == 16
+        assert payload["max_scattering_violation"] == 0.0
+        assert payload["reconstruction_residual"] == 0.0
+
+    @pytest.mark.parametrize("group", [*BUILTIN_GROUPS, "d4"])
+    @pytest.mark.parametrize("kind", ["haar", "ramp", "null class"])
+    def test_gamma_second_moment_is_mu(self, capsys, group, kind):
+        dual = f"finite:{D4_PATH if group == 'd4' else group}"
+        r = resolve_dual(dual).data.num_classes
+        if kind == "haar":
+            spec = "haar"
+        else:
+            weights = np.arange(1.0, r + 1.0)
+            if kind == "null class":
+                weights[-1] = 0.0
+            spec = "classes:" + ",".join(repr(float(w)) for w in weights / weights.sum())
+        code, out, _ = run(capsys, "cramer", "--dual", dual, spec)
+        assert code == 0
+        payload = json.loads(out)
+        for row in payload["classes"]:
+            assert row["gamma_second_moment"] == row["mu"]
+        assert payload["max_scattering_violation"] == 0.0
+        assert payload["reconstruction_residual"] == 0.0
+
+
+class TestNonFiniteNumbersRefused:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--dual", "su2", "--bound", "3", "--tol", "inf", "ar1:0,1"],
+            ["check", "--dual", "su2", "--bound", "3", "--tol", "nan", "whitenoise"],
+            ["check", "--dual", "su2", "--bound", "3", "--tol", "-1", "whitenoise"],
+            ["check", "--dual", "finite:s3", "--kind", "normalized", "--tol", "nan", "whitenoise"],
+            ["spectral", "--dual", "su2", "--bound", "3", "atoms:0.5:nan"],
+            ["spectral", "--dual", "su2", "--bound", "3", "atoms:0.5:-0.1"],
+            ["spectral", "--dual", "finite:s3", "classes:nan,0.5,0.5"],
+            ["spectral", "--dual", "finite:s3", "classes:inf,0,0"],
+            ["spectral", "--dual", "torus", "--bound", "3", "atoms:0.5:inf"],
+            ["cramer", "--dual", "finite:s3", "classes:0.5,nan,0.5"],
+            ["invert", "--dual", "finite:s3", "nan,0,0"],
+            ["invert", "--dual", "finite:s3", "1,inf,0"],
+            ["convolve", "--dual", "su2", "1:nan", "1:1"],
+            ["convolve", "--dual", "su2", "1:1", "2:infj"],
+            ["check", "--dual", "su2", "--bound", "2", "ar1:nan,0"],
+            ["check", "--dual", "su2", "--bound", "2", "ma:1,0;0,nan"],
+            ["simulate", "--dual", "su2", "--bound", "2", "--seed", "1", "ar1:inf,0"],
+        ],
+    )
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_zero_tolerance_still_valid(self, capsys):
+        code, out, _ = run(capsys, "check", "--dual", "su2", "--bound", "3", "--tol", "0", "whitenoise")
+        assert code == 0
+        assert json.loads(out)["tol"] == 0.0

@@ -17,8 +17,10 @@ from dualfield import (
     simulate_ar1_batch,
     simulate_ma,
     simulate_ma_batch,
+    white_noise,
     white_noise_sequence,
 )
+from dualfield import stationary_fields, time_series
 
 LAMBDA_GRID = [0.0, 0.5, -0.5, 0.9, np.exp(1j * math.pi / 4), 1j, 2.0]
 
@@ -310,3 +312,45 @@ class TestSeriesFields:
         assert spec.coefficients == (1.0, 1j, 2.0 - 1j)
         with pytest.raises(ValueError):
             parse_series_spec("arma:1,0")
+
+
+def two_call_noise(shape, seed):
+    """Real parts from one normal() call, imaginary parts from a second."""
+    rng = np.random.default_rng(seed)
+    re = rng.normal(size=shape, scale=np.sqrt(0.5))
+    return re + 1j * rng.normal(size=shape, scale=np.sqrt(0.5))
+
+
+NOISE_SHAPES = [6, 1, (1, 1), (1, 7), (5, 1), (3, 4), (10, 9), (0, 3), (2, 0), (17,)]
+
+
+class TestWhiteNoiseSequence:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_block_draws_as_two_calls(self, seed):
+        for shape in NOISE_SHAPES:
+            got = white_noise_sequence(shape, seed=seed)
+            assert got.tobytes() == two_call_noise(shape, seed).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 49])
+    def test_batches_and_white_noise_draw_the_same_noise(self, su2, seed):
+        lam, beta, n_max, n_paths = 0.3 - 0.7j, (1.0, 0.5j, -0.2 + 0.1j), 7, 4
+        noise = two_call_noise((n_paths, n_max + 1), seed)
+        ar1 = np.empty_like(noise)
+        previous = np.zeros(n_paths, dtype=complex)
+        for n in range(n_max + 1):
+            previous = lam * previous + noise[:, n]
+            ar1[:, n] = previous
+        ma = np.zeros_like(noise)
+        for k, coeff in enumerate(beta):
+            ma[:, k:] += coeff * noise[:, : n_max + 1 - k]
+        assert simulate_ar1_batch(lam, n_max, n_paths, seed).tobytes() == ar1.tobytes()
+        assert simulate_ma_batch(beta, n_max, n_paths, seed).tobytes() == ma.tobytes()
+        labels = [5, 0, 2]
+        batch = white_noise(su2, seed).sample_batch(labels, 9)
+        expected = two_call_noise((9, len(labels)), seed)
+        for i, label in enumerate(sorted(labels)):
+            assert batch[label].tobytes() == expected[:, i].tobytes()
+
+    def test_one_function_everywhere(self):
+        assert time_series.white_noise_sequence is white_noise_sequence
+        assert stationary_fields.white_noise_sequence is white_noise_sequence
