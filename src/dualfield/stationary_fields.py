@@ -73,6 +73,10 @@ class FieldSampler:
         """Exact E(Y_a conj(Y_b)); raises if no oracle is available."""
         raise CapabilityError(f"{self.descriptor}: no exact second-moment oracle")
 
+    def second_moment_matrix(self, labels: Sequence[Label]) -> np.ndarray:
+        """Entry (i, j) is ``second_moment(labels[i], labels[j])``, bit for bit."""
+        return pairwise_matrix(self.second_moment, labels)
+
     def reseeded(self, seed) -> "FieldSampler":
         raise NotImplementedError
 
@@ -102,6 +106,10 @@ class WhiteNoiseField(FieldSampler):
         self.dual.validate_label(a)
         self.dual.validate_label(b)
         return 1.0 + 0j if a == b else 0j
+
+    def second_moment_matrix(self, labels):
+        index = np.array([self.dual.validate_label(x) for x in labels])
+        return (index[:, None] == index[None, :]).astype(complex)
 
     def reseeded(self, seed):
         return WhiteNoiseField(self.dual, seed)
@@ -143,6 +151,9 @@ class KolmogorovField(FieldSampler):
     def second_moment(self, a, b):
         terms = self.dual.tensor(a, self.dual.conjugate(b))
         return complex(sum(c * complex(self._fourier(k)) for k, c in terms.items()))
+
+    def second_moment_matrix(self, labels):
+        return pair_matrix(self.dual, labels, self._fourier)
 
     def covariance(self, label: Label) -> complex:
         """C(label) = E(Y_label conj(Y_neutral)) = transform of the measure."""
@@ -187,6 +198,15 @@ class TranslatedField(FieldSampler):
             for k2, m2 in vb.items():
                 total += m1 * np.conj(m2) * self.base.second_moment(k1, k2)
         return complex(total)
+
+    def second_moment_matrix(self, labels):
+        if not isinstance(self.base, WhiteNoiseField):
+            return super().second_moment_matrix(labels)
+        # Over white noise every term is m1 m2 [k1 == k2], an exact integer.
+        index = np.array([self.dual.validate_label(x) for x in labels])[:, None]
+        shift = np.array([[self.shift]])
+        counts = np.hstack([m for _, m in self.dual.multiplicities(index, shift)])
+        return (counts @ counts.T).astype(complex)
 
     def reseeded(self, seed):
         return TranslatedField(self.base.reseeded(seed), self.shift)
@@ -248,32 +268,61 @@ class StationarityReport:
         }
 
 
-def _build_report(condition, pairs, tol):
-    worst = 0.0
-    witnesses = []
-    for pi1, pi2, lhs, rhs in pairs:
-        violation = abs(lhs - rhs)
-        worst = max(worst, violation)
-        if violation > tol:
-            witnesses.append(Witness(pi1, pi2, lhs, rhs))
-    witnesses.sort(key=lambda w: -w.violation)
-    return StationarityReport(
-        condition=condition,
-        passed=worst <= tol,
-        max_violation=worst,
-        tol=tol,
-        witnesses=tuple(witnesses),
-    )
+def pairwise_matrix(oracle: SecondMomentOracle, labels: Sequence[Label]) -> np.ndarray:
+    """Entry (i, j) is ``oracle(labels[i], labels[j])``, called in row-major order."""
+    return np.array([[complex(oracle(a, b)) for b in labels] for a in labels], dtype=complex)
+
+
+def moment_matrix(oracle: SecondMomentOracle, labels: Sequence[Label]) -> np.ndarray:
+    """E(Y_a conj(Y_b)) over a label window, from the oracle's own matrix when it has one.
+
+    A field's bound ``second_moment`` is served by ``second_moment_matrix``
+    and any callable with a ``matrix(labels)`` attribute by that attribute;
+    both equal the per-pair values bit for bit.  Every other callable is
+    asked once per pair.
+    """
+    owner = getattr(oracle, "__self__", None)
+    if isinstance(owner, FieldSampler) and oracle == owner.second_moment:
+        return owner.second_moment_matrix(labels)
+    matrix = getattr(oracle, "matrix", None)
+    if matrix is not None:
+        return matrix(labels)
+    return pairwise_matrix(oracle, labels)
 
 
 def _check_pairs(condition, dual, oracle, labels, kind, tol):
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     labels = list(labels)
-    rhs = pair_matrix(dual, labels, lambda k: oracle(k, dual.neutral), kind).ravel().tolist()
-    grid = [(a, b) for a in labels for b in labels]
-    pairs = [(a, b, complex(oracle(a, b)), r) for (a, b), r in zip(grid, rhs)]
-    return _build_report(condition, pairs, tol)
+    n = len(labels)
+    # Non-finite moments are refused below, so their arithmetic needs no warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        rhs = pair_matrix(dual, labels, lambda k: oracle(k, dual.neutral), kind).ravel()
+        lhs = moment_matrix(oracle, labels).ravel()
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        if not finite.all():
+            p = int(np.argmin(finite))
+            raise ValueError(
+                f"{condition}: non-finite second moment at pair "
+                f"({labels[p // n]!r}, {labels[p % n]!r}): "
+                f"lhs {complex(lhs[p])}, rhs {complex(rhs[p])}"
+            )
+        diff = lhs - rhs
+        # hypot has the bits of abs(complex); np.abs differs in the last bit.
+        violation = np.hypot(diff.real, diff.imag)
+    flagged = np.flatnonzero(violation > tol)
+    flagged = flagged[np.argsort(-violation[flagged], kind="stable")]
+    worst = float(violation.max())
+    return StationarityReport(
+        condition=condition,
+        passed=worst <= tol,
+        max_violation=worst,
+        tol=tol,
+        witnesses=tuple(
+            Witness(labels[p // n], labels[p % n], complex(lhs[p]), complex(rhs[p]))
+            for p in flagged.tolist()
+        ),
+    )
 
 
 def check_stationarity(
@@ -381,7 +430,7 @@ def cramer_decompose_finite(field: KolmogorovField) -> ScatteredMeasure:
     dual: FiniteGroupDual = measure.dual
     w = measure.class_weights
     values = np.diag((w > 0).astype(float))
-    dead = [dual.label_to_str(c) for c in range(len(w)) if w[c] == 0]
+    dead = [f"class {c}" for c in range(len(w)) if w[c] == 0]
     note = f"; null classes: {', '.join(dead)}" if dead else ""
     return ScatteredMeasure(
         measure, values, f"scattered({measure.description}{note})"

@@ -12,13 +12,14 @@ moments only.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dual_hypergroup import Label, SU2Dual, su2_dual
-from .stationary_fields import FieldSampler, white_noise_sequence
+from .stationary_fields import FieldSampler, moment_matrix, white_noise_sequence
 
 UNIT_CIRCLE_TOL = 1e-8
 
@@ -77,14 +78,54 @@ def ar1_covariance(lam: complex, n: int, h: int) -> complex:
     return lam**h * (1.0 - r2 ** (n + 1)) / (1.0 - r2)
 
 
+def _per_distinct(values: np.ndarray, f: Callable) -> np.ndarray:
+    """``f`` applied in Python once per distinct entry of an integer array."""
+    distinct, at = np.unique(values, return_inverse=True)
+    return np.array([f(v) for v in distinct.tolist()])[at.reshape(values.shape)]
+
+
+def _hermitian(re: np.ndarray, im: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Values at n1 >= n2 from their parts, conjugated where n1 < n2, as the oracles branch."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = np.where(n[:, None] < n[None, :], -im, im)
+    return out
+
+
 def ar1_second_moment_oracle(lam: complex) -> Callable[[Label, Label], complex]:
-    """Exact two-index covariance oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2}))."""
+    """Exact two-index covariance oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2})).
+
+    ``oracle.matrix(labels)`` gives it over every pair of a window, bit for bit.
+    """
 
     def oracle(n1: Label, n2: Label) -> complex:
         if n1 >= n2:
             return ar1_covariance(lam, n2, n1 - n2)
         return np.conj(ar1_covariance(lam, n1, n2 - n1))
 
+    def matrix(labels: Sequence[Label]) -> np.ndarray:
+        n = np.array([operator.index(x) for x in labels])
+        if n.size and n.min() < 0:
+            raise ValueError("indices must be nonnegative")
+        z = complex(lam)
+        r2 = abs(z) ** 2
+        low = np.minimum(n[:, None], n[None, :])
+        power = _per_distinct(np.abs(n[:, None] - n[None, :]), lambda h: z**h)
+        x, y = power.real, power.imag
+        # ar1_covariance's mixed arithmetic on the parts: Python (before 3.14)
+        # promotes the real operand to complex, and numpy's complex division
+        # would round differently.
+        if abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:
+            scale = (low + 1).astype(float)
+            return _hermitian(scale * x - 0.0 * y, scale * y + 0.0 * x, n)
+        tail = _per_distinct(low, lambda m: 1.0 - r2 ** (m + 1))
+        re, im = x * tail - y * 0.0, x * 0.0 + y * tail
+        d = 1.0 - r2
+        ratio = 0.0 / d
+        denom = d + 0.0 * ratio
+        return _hermitian((re + im * ratio) / denom, (im - re * ratio) / denom, n)
+
+    oracle.matrix = matrix
     return oracle
 
 
@@ -134,7 +175,10 @@ def ma_covariance(beta: Sequence[complex], h: int) -> complex:
 
 
 def ma_second_moment_oracle(beta: Sequence[complex]) -> Callable[[Label, Label], complex]:
-    """Exact steady-regime oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2}))."""
+    """Exact steady-regime oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2})).
+
+    ``oracle.matrix(labels)`` gives it over every pair of a window, bit for bit.
+    """
     beta = tuple(complex(b) for b in beta)
 
     def oracle(n1: Label, n2: Label) -> complex:
@@ -142,6 +186,13 @@ def ma_second_moment_oracle(beta: Sequence[complex]) -> Callable[[Label, Label],
             return ma_covariance(beta, n1 - n2)
         return np.conj(ma_covariance(beta, n2 - n1))
 
+    def matrix(labels: Sequence[Label]) -> np.ndarray:
+        n = np.array([operator.index(x) for x in labels])
+        lag = np.abs(n[:, None] - n[None, :])
+        gamma = _per_distinct(lag, lambda h: ma_covariance(beta, h))
+        return _hermitian(gamma.real, gamma.imag, n)
+
+    oracle.matrix = matrix
     return oracle
 
 
@@ -223,6 +274,9 @@ class SeriesField(FieldSampler):
 
     def second_moment(self, a, b):
         return self._oracle(self.dual.validate_label(a), self.dual.validate_label(b))
+
+    def second_moment_matrix(self, labels):
+        return moment_matrix(self._oracle, [self.dual.validate_label(x) for x in labels])
 
     def reseeded(self, seed):
         return SeriesField(self.spec, seed, self.dual)

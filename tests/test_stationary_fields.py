@@ -298,7 +298,8 @@ class TestCramer:
     def test_null_classes_reported_and_zero(self, s3):
         field = kolmogorov_field(FiniteClassMeasure(s3, [0.5, 0.5, 0.0]), seed=1)
         scattered = cramer_decompose_finite(field)
-        assert "std" in scattered.descriptor
+        # Null classes are named by class index: class 2 holds the 3-cycles, not the irreducible std.
+        assert scattered.descriptor.endswith("; null classes: class 2)")
         assert scattered.second_moment([2]) <= 1e-12
 
     def test_requires_finite_construction(self, su2):
