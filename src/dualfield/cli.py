@@ -424,6 +424,9 @@ def main(argv=None) -> int:
     except (LabelDomainError, CapabilityError, NotPositiveDefiniteError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
+        return 2
     if args.output:
         Path(args.output).write_text(text)
     else:

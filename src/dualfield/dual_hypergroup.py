@@ -211,8 +211,20 @@ class DualStructure:
         ``a`` is an integer column and ``b`` an integer row.  Yields
         ``(k, m)`` in ascending k for every irreducible k that occurs,
         where ``m[i, j]`` is the multiplicity of k in ``a[i] (x) b[j]``.
+        :func:`pair_matrix` sums over these only on duals without a
+        :meth:`band` (the finite groups); the translated white-noise moment
+        uses them on every dual.
         """
         raise NotImplementedError
+
+    def band(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """Tensor decompositions over a grid as arithmetic progressions, if they are.
+
+        Returns ``(first, span, step)`` when every ``a[i] (x) b[j]`` is the
+        irreducibles ``first + step t`` for t = 0 .. span, each once, and
+        None otherwise.
+        """
+        return None
 
     def labels(self, bound: int | None = None) -> list[Label]:
         """Enumerate labels; infinite duals require an explicit bound."""
@@ -257,6 +269,10 @@ class TorusDual(DualStructure):
     def tensor(self, a: Label, b: Label) -> DualVector:
         return DualVector({self.validate_label(a) + self.validate_label(b): 1})
 
+    def band(self, a, b):
+        total = a + b
+        return total, np.zeros_like(total), 1
+
     def multiplicities(self, a, b):
         total = a + b
         for k in np.unique(total):
@@ -299,6 +315,10 @@ class SU2Dual(DualStructure):
         a = self.validate_label(a)
         b = self.validate_label(b)
         return DualVector({k: 1 for k in range(abs(a - b), a + b + 1, 2)})
+
+    def band(self, a, b):
+        # Clebsch-Gordan: |a-b|, |a-b| + 2, ..., a+b.
+        return np.abs(a - b), np.minimum(a, b), 2
 
     def multiplicities(self, a, b):
         # Clebsch-Gordan: k occurs once when |a-b| <= k <= a+b and k = a+b mod 2.
@@ -570,6 +590,11 @@ def pair_matrix(
     normalized.  ``value`` is called once per irreducible that occurs,
     in ascending order, and its terms are added in ascending k, as
     :func:`convolve` orders them, so every entry is the per-pair sum.
+
+    On duals with a :meth:`~DualStructure.band` (SU(2), the torus) the
+    terms of a pair are a progression, so pairs that start at the same
+    irreducible share their running sums; finite duals add one masked
+    term per irreducible of their structure constants.
     """
     if kind not in ("representation_ring", "normalized"):
         raise ValueError(f"unknown convolution kind {kind!r}")
@@ -578,14 +603,101 @@ def pair_matrix(
         raise ValueError("empty label window")
     a = np.array([dual.validate_label(x) for x in labels])[:, None]
     b = np.array([dual.conjugate(x) for x in labels])[None, :]
+    scale = None
     if kind == "normalized":
         dims = np.array([dual.dim(x) for x in labels])
         scale = 1.0 / (dims[:, None] * dims[None, :])
-    out = np.zeros((len(labels), len(labels)), dtype=complex)
-    for k, m in dual.multiplicities(a, b):
-        c = m if kind == "representation_ring" else scale * m * dual.dim(k)
-        np.add(out, c * complex(value(k)), out=out, where=m != 0)
+    band = dual.band(a, b)
+    if band is None:
+        out = np.zeros((len(labels), len(labels)), dtype=complex)
+        for k, m in dual.multiplicities(a, b):
+            c = m if scale is None else scale * m * dual.dim(k)
+            np.add(out, c * complex(value(k)), out=out, where=m != 0)
+        return out
+    first, span, step = band
+    if scale is None:
+        out = _band_ring(first.ravel(), span.ravel(), step, value)
+    else:
+        out = _band_normalized(dual, first.ravel(), span.ravel(), step, scale.ravel(), value)
+    return out.reshape(len(labels), len(labels))
+
+
+# Entries per block of the running-sum table: bounds its memory on windows
+# of large labels far apart.
+_BAND_BLOCK = 1 << 20
+
+
+def _band_values(first, span, step, value):
+    """value(k) at offset k - first.min(), called once per k that occurs, ascending.
+
+    Irreducibles that do not occur hold 0j; the array ends with at least
+    one such slot.
+    """
+    lo = int(first.min())
+    last = first + step * span
+    size = step * ((int(last.max()) - lo) // step + 2)
+    # Progressions start and stop in one residue class mod step, so a
+    # cumulative count per class marks the irreducibles some pair covers.
+    cover = np.bincount(first - lo, minlength=size) - np.bincount(last - lo + step, minlength=size)
+    offsets = np.flatnonzero(cover.reshape(-1, step).cumsum(axis=0).ravel())
+    values = np.zeros(size, dtype=complex)
+    values[offsets] = [complex(value(k)) for k in (offsets + lo).tolist()]
+    return lo, offsets, values
+
+
+def _band_ring(first, span, step, value):
+    """Multiplicity-one progressions summed from running sums per first irreducible."""
+    lo, _, values = _band_values(first, span, step, value)
+    # Multiplicity 1 times value(k) by the per-pair complex multiply, which
+    # fixes the bits of non-finite values.
+    terms = np.ones(len(values), dtype=int) * values
+    starts, row = np.unique(first, return_inverse=True)
+    top = np.zeros(len(starts), dtype=int)
+    np.maximum.at(top, row, span)
+    # Row t + 1 - t0 of a block holds, per start, the sum of its terms 0 .. t.
+    # Row 0 carries the last row of the previous block; the first starts at 0j.
+    out = np.empty(len(first), dtype=complex)
+    end = int(top.max()) + 1
+    width = min(end, max(1, _BAND_BLOCK // len(starts)))
+    running = np.zeros((width + 1, len(starts)), dtype=complex)
+    for t0 in range(0, end, width):
+        t = np.arange(t0, min(t0 + width, end))[:, None]
+        index = np.where(t <= top, starts - lo + step * t, len(terms) - 1)
+        running[0] = running[-1]
+        block = running[: len(t) + 1]
+        # Every index is in range; "clip" only spares take a buffered copy.
+        np.take(terms, index, out=block[1:], mode="clip")
+        del index  # before the gather's temporaries
+        np.add.accumulate(block, axis=0, out=block)
+        here = (t0 <= span) & (span < t0 + width)
+        out[here] = block[span[here] + (1 - t0), row[here]]
     return out
+
+
+def _band_normalized(dual, first, span, step, scale, value):
+    """Per-entry terms (scale d_k) value(k), added to the pairs that still have a t-th."""
+    lo, offsets, values = _band_values(first, span, step, value)
+    dims = np.zeros(len(values))
+    dims[offsets] = [dual.dim(k) for k in (offsets + lo).tolist()]
+    # Pairs with a t-th term are a prefix of the order by descending span.
+    live = np.cumsum(np.bincount(span)[::-1])[::-1]
+    order = np.argsort(-span, kind="stable")
+    index = first[order]
+    index -= lo
+    scale = scale[order]
+    acc = np.zeros(len(first), dtype=complex)
+    coefficient, term = np.empty_like(scale), np.empty_like(acc)
+    for n in live.tolist():
+        # Every index is in range; "clip" only spares take a buffered copy.
+        np.take(dims, index[:n], out=coefficient[:n], mode="clip")
+        np.multiply(scale[:n], coefficient[:n], out=coefficient[:n])
+        np.take(values, index[:n], out=term[:n], mode="clip")
+        np.multiply(coefficient[:n], term[:n], out=term[:n])
+        np.add(acc[:n], term[:n], out=acc[:n])
+        index[:n] += step
+    # The term buffer is free now; it takes the sums back in window order.
+    term[order] = acc
+    return term
 
 
 def conjugate_vector(dual: DualStructure, m: DualVector) -> DualVector:

@@ -319,8 +319,10 @@ def _check_pairs(condition, dual, oracle, labels, kind, tol):
         max_violation=worst,
         tol=tol,
         witnesses=tuple(
-            Witness(labels[p // n], labels[p % n], complex(lhs[p]), complex(rhs[p]))
-            for p in flagged.tolist()
+            Witness(labels[p // n], labels[p % n], left, right)
+            for p, left, right in zip(
+                flagged.tolist(), lhs[flagged].tolist(), rhs[flagged].tolist()
+            )
         ),
     )
 

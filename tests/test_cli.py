@@ -413,6 +413,14 @@ class TestNonFiniteNumbersRefused:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("window", ["0..154", "0..400"])
+    def test_overflowing_ar1_powers_are_usage_errors(self, capsys, window):
+        # |lambda|^2 = 100, so 100^(n + 1) overflows from n = 154 and lambda^h from h = 309.
+        code, out, err = run(capsys, "check", "--dual", "su2", "--labels", window, "ar1:10,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_zero_tolerance_still_valid(self, capsys):
         code, out, _ = run(capsys, "check", "--dual", "su2", "--bound", "3", "--tol", "0", "whitenoise")
         assert code == 0

@@ -9,6 +9,8 @@ same order give the same reports (witness order included), Gram
 matrices, moments and pair matrices.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,3 +367,105 @@ class TestRandomWindows:
 
         pair_matrix(su2, range(61), value, kind)
         assert calls == list(range(121))
+
+
+# ---------------------------------------------------------------------------
+# The band kernel of SU(2) and the torus
+# ---------------------------------------------------------------------------
+
+SPARSE_SU2 = st.lists(
+    st.one_of(st.integers(0, 300), st.sampled_from([0, 1, 150, 299, 300])),
+    min_size=1,
+    max_size=8,
+)
+SPARSE_TORUS = st.lists(
+    st.one_of(st.integers(-100, 100), st.sampled_from([-100, -1, 0, 1, 100])),
+    min_size=1,
+    max_size=8,
+)
+
+
+# Drawing a value per irreducible up to 600 is slow; the drawn values repeat instead.
+TABLE = st.lists(VALUES, min_size=61, max_size=61)
+
+
+def cyclic_value(table):
+    return lambda k: table[k % len(table)]
+
+
+def occurring(dual, labels):
+    """Every irreducible of a (x) conj(b) over the window, from the per-pair tensor."""
+    return sorted(
+        {k for a in labels for b in labels for k, _ in dual.tensor(a, dual.conjugate(b)).items()}
+    )
+
+
+class TestBandKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(labels=SPARSE_SU2, table=TABLE, kind=KIND)
+    def test_sparse_su2_windows(self, labels, table, kind):
+        assert_matches_reference(SU2, labels, cyclic_value(table), kind)
+
+    @settings(max_examples=40, deadline=None)
+    @given(labels=SPARSE_TORUS, table=TABLE, kind=KIND)
+    def test_sparse_torus_windows(self, labels, table, kind):
+        assert_matches_reference(TORUS, labels, cyclic_value(table), kind)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dual=st.sampled_from([SU2, TORUS]),
+        data=st.data(),
+        kind=KIND,
+    )
+    def test_value_only_at_irreducibles_that_occur_ascending(self, dual, data, kind):
+        labels = data.draw(SPARSE_SU2 if dual is SU2 else SPARSE_TORUS, label="labels")
+        wanted = occurring(dual, labels)
+        calls = []
+
+        def value(k):
+            if k not in wanted:
+                raise AssertionError(f"value({k}) outside the decomposition of the window")
+            calls.append(k)
+            return complex(k, -k)
+
+        pair_matrix(dual, labels, value, kind)
+        assert calls == wanted
+        assert all(type(k) is int for k in calls)
+
+    @settings(max_examples=25, deadline=None)
+    @given(labels=SPARSE_SU2, table=TABLE, kind=KIND, block=st.sampled_from([1, 2, 7, 50]))
+    def test_blocked_running_sums(self, labels, table, kind, block):
+        # Small blocks split the running-sum table into many carried pieces.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("dualfield.dual_hypergroup._BAND_BLOCK", block)
+            assert_matches_reference(SU2, labels, cyclic_value(table), kind)
+
+    @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
+    @pytest.mark.parametrize("dual, labels", [(SU2, [0, 3, 1, 5, 2, 9]), (TORUS, [-2, 0, 1, 3])])
+    def test_non_finite_values(self, dual, labels, kind):
+        # 1 * (inf + 0j) is inf + nan j: the terms are products, not the raw values.
+        inf, nan = float("inf"), float("nan")
+        table = [complex(inf, 0), complex(1, inf), complex(-inf, -inf), complex(nan, 1), 2.0, -inf, 3j]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = pair_matrix(dual, labels, cyclic_value(table), kind)
+        want = ref_pair_matrix(dual, labels, cyclic_value(table), kind)
+        # Every bit but the sign and payload of a nan.
+        assert np.array_equal(got.real, want.real, equal_nan=True)
+        assert np.array_equal(got.imag, want.imag, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
+    def test_window_of_200(self, kind):
+        rng = np.random.default_rng(200)
+        table = (rng.standard_normal(399) + 1j * rng.standard_normal(399)).tolist()
+        assert_matches_reference(SU2, range(200), table_value(table), kind)
+
+    @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
+    def test_memory_stays_quadratic(self, kind):
+        # An N x N x N array at N = 201 would take 124 MiB.
+        tracemalloc.start()
+        try:
+            pair_matrix(SU2, range(201), lambda k: complex(k), kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
