@@ -421,11 +421,10 @@ def main(argv=None) -> int:
     except DataIntegrityError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (LabelDomainError, CapabilityError, NotPositiveDefiniteError, ValueError) as exc:
+    except (
+        LabelDomainError, CapabilityError, NotPositiveDefiniteError, ValueError, OverflowError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 2
     if args.output:
         Path(args.output).write_text(text)

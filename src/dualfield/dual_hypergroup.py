@@ -212,8 +212,8 @@ class DualStructure:
         ``(k, m)`` in ascending k for every irreducible k that occurs,
         where ``m[i, j]`` is the multiplicity of k in ``a[i] (x) b[j]``.
         :func:`pair_matrix` sums over these only on duals without a
-        :meth:`band` (the finite groups); the translated white-noise moment
-        uses them on every dual.
+        :meth:`band` (the torus and the finite groups); the translated
+        white-noise moment uses them on every dual.
         """
         raise NotImplementedError
 
@@ -268,10 +268,6 @@ class TorusDual(DualStructure):
 
     def tensor(self, a: Label, b: Label) -> DualVector:
         return DualVector({self.validate_label(a) + self.validate_label(b): 1})
-
-    def band(self, a, b):
-        total = a + b
-        return total, np.zeros_like(total), 1
 
     def multiplicities(self, a, b):
         total = a + b
@@ -591,10 +587,10 @@ def pair_matrix(
     in ascending order, and its terms are added in ascending k, as
     :func:`convolve` orders them, so every entry is the per-pair sum.
 
-    On duals with a :meth:`~DualStructure.band` (SU(2), the torus) the
-    terms of a pair are a progression, so pairs that start at the same
-    irreducible share their running sums; finite duals add one masked
-    term per irreducible of their structure constants.
+    On duals with a :meth:`~DualStructure.band` (SU(2)) the terms of a
+    pair are a progression, so pairs that start at the same irreducible
+    share their running sums; the torus and the finite duals add one
+    masked term per irreducible that occurs.
     """
     if kind not in ("representation_ring", "normalized"):
         raise ValueError(f"unknown convolution kind {kind!r}")

@@ -370,7 +370,7 @@ class TestRandomWindows:
 
 
 # ---------------------------------------------------------------------------
-# The band kernel of SU(2) and the torus
+# Sparse windows: the band kernel of SU(2), the structure-constant loop of the torus
 # ---------------------------------------------------------------------------
 
 SPARSE_SU2 = st.lists(
@@ -452,6 +452,22 @@ class TestBandKernel:
         # Every bit but the sign and payload of a nan.
         assert np.array_equal(got.real, want.real, equal_nan=True)
         assert np.array_equal(got.imag, want.imag, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
+    def test_torus_labels_far_apart(self, kind):
+        # Three sums occur; memory must follow them, not the spread of the labels.
+        labels = [0, 10**9]
+        # A first call imports what numpy loads lazily, outside the trace.
+        pair_matrix(TORUS, [0, 1], complex, kind)
+        tracemalloc.start()
+        try:
+            got = pair_matrix(TORUS, labels, lambda k: complex(k % 7, -1), kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = ref_pair_matrix(TORUS, labels, lambda k: complex(k % 7, -1), kind)
+        assert got.tobytes() == want.tobytes()
+        assert peak <= 2**20
 
     @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
     def test_window_of_200(self, kind):
