@@ -63,6 +63,7 @@ from .stationary_fields import (
     check_stationarity,
     cramer_decompose_finite,
     estimate_covariance,
+    estimate_covariance_matrix,
     evaluate_at_vector,
     kolmogorov_field,
     translate,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import os
 import secrets
@@ -25,6 +26,7 @@ from .dual_hypergroup import (
     DualVector,
     FiniteGroupDual,
     SU2Dual,
+    TorusDual,
     convolve,
     load_character_table,
     su2_dual,
@@ -42,14 +44,19 @@ from .stationary_fields import (
     check_hypergroup_stationarity,
     check_stationarity,
     cramer_decompose_finite,
-    estimate_covariance,
+    estimate_covariance_matrix,
     jackknife_estimate,
     kolmogorov_field,
     white_noise,
 )
+# perfbench/instrument.py wraps this name, so it stays imported.
+from .stationary_fields import estimate_covariance  # noqa: F401
 from .time_series import SeriesField, parse_series_spec
 
 ENV_GROUP_PATH = "DUALFIELD_GROUPS"
+# Most complex values one ``simulate`` call may draw (window columns times
+# samples); larger requests are refused before anything is allocated.
+DRAW_LIMIT = 1 << 24
 
 
 def _fmt(x: float) -> str:
@@ -71,9 +78,16 @@ def resolve_dual(text: str) -> DualStructure:
     raise ValueError(f"unknown dual {text!r}; use torus, su2 or finite:<name-or-path>")
 
 
+@functools.cache
+def _builtin_group(name: str) -> FiniteGroupDual:
+    """Builtin tables are package data: one validated, read-only dual per name."""
+    return load_character_table(name)
+
+
 def _load_group(name: str) -> FiniteGroupDual:
+    """Builtins come from the cache; paths and ``DUALFIELD_GROUPS`` are read on every call."""
     if name.lower() in BUILTIN_GROUPS:
-        return load_character_table(name.lower())
+        return _builtin_group(name.lower())
     path = Path(name)
     if path.exists():
         return load_character_table(path)
@@ -248,20 +262,38 @@ def _series_covariance_table(field: SeriesField, n_max: int, n_samples: int, see
     return rows
 
 
+def _draw_size(dual: DualStructure, series: bool, bound: int | None, samples: int | None) -> int:
+    """Complex values a ``simulate`` call draws, counted without building its window."""
+    if isinstance(dual, FiniteGroupDual):
+        columns = dual.data.num_classes
+    elif isinstance(dual, TorusDual) or (series and samples is not None):
+        columns = 2 * bound + 1  # labels -bound..bound, or series paths to index 2 * bound
+    else:
+        columns = bound + 1
+    return columns * (samples or 1)
+
+
 def cmd_simulate(args):
     dual = resolve_dual(args.dual)
-    if args.samples is not None and args.samples < 0:
-        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
+    if args.samples is not None and args.samples < 2:
+        raise ValueError(
+            f"need at least two samples for a standard error, got --samples {args.samples}"
+        )
     seed, generated = _ensure_seed(args)
     field = parse_field_spec(dual, args.spec, seed)
-    if args.bound is None and (
-        isinstance(field, SeriesField) or not isinstance(dual, FiniteGroupDual)
-    ):
+    series = isinstance(field, SeriesField)
+    if args.bound is None and (series or not isinstance(dual, FiniteGroupDual)):
         raise ValueError("simulate needs --bound for the label window")
+    size = _draw_size(dual, series, args.bound, args.samples)
+    if size > DRAW_LIMIT:
+        raise ValueError(
+            f"simulate would draw {size} complex values, over the limit of {DRAW_LIMIT}; "
+            "lower --bound or --samples"
+        )
     labels = parse_labels(dual, None, args.bound)
     header = f"# seed={seed}\n" if generated else ""
 
-    if isinstance(field, SeriesField) and args.samples:
+    if series and args.samples is not None:
         rows = _series_covariance_table(field, args.bound, args.samples, seed)
         lines = ["n,h,re_closed,im_closed,re_mc,im_mc,stderr"]
         lines += [
@@ -271,16 +303,17 @@ def cmd_simulate(args):
         ]
         return 0, header + "\n".join(lines) + "\n"
 
-    if args.samples:
+    if args.samples is not None:
+        exact = field.second_moment_matrix(labels)
+        est = estimate_covariance_matrix(field, labels, args.samples, seed)
+        names = [dual.label_to_str(x) for x in labels]
         lines = ["pi1,pi2,re_exact,im_exact,re_mc,im_mc,stderr"]
-        for a in labels:
-            for b in labels:
-                exact = field.second_moment(a, b)
-                est = estimate_covariance(field, a, b, args.samples, seed)
+        for i, a in enumerate(names):
+            for j, b in enumerate(names):
                 lines.append(
-                    f"{dual.label_to_str(a)},{dual.label_to_str(b)},"
-                    f"{_fmt(exact.real)},{_fmt(exact.imag)},"
-                    f"{_fmt(est.mean.real)},{_fmt(est.mean.imag)},{_fmt(est.stderr)}"
+                    f"{a},{b},{_fmt(exact[i, j].real)},{_fmt(exact[i, j].imag)},"
+                    f"{_fmt(est.mean[i, j].real)},{_fmt(est.mean[i, j].imag)},"
+                    f"{_fmt(est.stderr[i, j])}"
                 )
         return 0, header + "\n".join(lines) + "\n"
 
@@ -347,7 +380,9 @@ def cmd_cramer(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dualfield",
         description="random fields and time series on the dual of a compact group",

@@ -410,7 +410,8 @@ class FiniteGroupDual(DualStructure):
 
     Tensor multiplicities are recovered from exact class sums; any
     rounding residue above the integer-recovery tolerance signals a
-    corrupt table and raises :class:`DataIntegrityError`.
+    corrupt table and raises :class:`DataIntegrityError`.  The character
+    table and the structure constants are read-only arrays.
     """
 
     is_finite = True
@@ -423,9 +424,12 @@ class FiniteGroupDual(DualStructure):
         self._dims = tuple(int(round(d.real)) for d in data.characters[:, 0])
         self._conjugate = self._match_conjugates()
         self._name_index = {n: i for i, n in enumerate(data.irrep_names)}
-        # The structure constants N[a, b, k] are computed up front; the dual
-        # is immutable afterwards and safe to share across threads.
+        # The structure constants N[a, b, k] are computed up front.  With them
+        # and the character table read-only the dual is immutable afterwards
+        # and safe to share across threads and calls.
         self._structure = self._structure_constants()
+        data.characters.flags.writeable = False
+        self._structure.flags.writeable = False
 
     def _match_conjugates(self) -> tuple[int, ...]:
         chars = self.data.characters

@@ -8,7 +8,7 @@ instance must be driven from a single execution context at a time;
 separately seeded instances are independent and may run concurrently.
 Verdicts about stationarity are rendered from exact second-moment
 oracles only; Monte Carlo enters solely through
-:func:`estimate_covariance`.
+:func:`estimate_covariance` and :func:`estimate_covariance_matrix`.
 """
 
 from __future__ import annotations
@@ -446,9 +446,23 @@ def cramer_decompose_finite(field: KolmogorovField) -> ScatteredMeasure:
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    mean: complex
-    stderr: float
+    """Monte Carlo mean and jackknife error; arrays when estimated over a window."""
+
+    mean: complex | np.ndarray
+    stderr: float | np.ndarray
     n_samples: int
+
+
+def _stream_draws(field: FieldSampler, labels, n_samples: int, seed, n_streams: int):
+    """One ``sample_batch`` per stream: stream j is reseeded with seed + j."""
+    if not 1 <= n_streams <= n_samples:
+        raise ValueError("stream count must be between 1 and the sample count")
+    base, extra = divmod(n_samples, n_streams)
+    counts = [base + (1 if j < extra else 0) for j in range(n_streams)]
+    return [
+        field.reseeded(seed + j).sample_batch(labels, count)
+        for j, count in enumerate(counts)
+    ]
 
 
 def estimate_covariance(
@@ -465,28 +479,63 @@ def estimate_covariance(
     (seed + stream index) and per-stream counts, so a sharded run gives
     the same value as the equivalent sequence of single-stream runs.
     """
-    if not 1 <= n_streams <= n_samples:
-        raise ValueError("stream count must be between 1 and the sample count")
-    base, extra = divmod(n_samples, n_streams)
-    counts = [base + (1 if j < extra else 0) for j in range(n_streams)]
-    chunks = []
-    for j, count in enumerate(counts):
-        if count == 0:
-            continue
-        sampler = field.reseeded(seed + j)
-        values = sampler.sample_batch([pi1, pi2], count)
-        chunks.append(values[pi1] * np.conj(values[pi2]))
-    return jackknife_estimate(np.concatenate(chunks))
+    draws = _stream_draws(field, [pi1, pi2], n_samples, seed, n_streams)
+    return jackknife_estimate(
+        np.concatenate([values[pi1] * np.conj(values[pi2]) for values in draws])
+    )
+
+
+def estimate_covariance_matrix(
+    field: FieldSampler,
+    labels: Sequence[Label],
+    n_samples: int,
+    seed,
+    n_streams: int = 1,
+) -> CovarianceEstimate:
+    """Monte Carlo estimates of E(Y_a conj(Y_b)) over a label window, from one draw per stream.
+
+    Entry (i, j) of ``mean`` and ``stderr`` estimates the pair
+    (labels[i], labels[j]).  Each stream draws the whole window once, with
+    the seeds and counts of :func:`estimate_covariance`, and every product
+    is formed as there, so an entry has the bits of that function whenever
+    the field's values at a label do not depend on the other labels drawn
+    (Kolmogorov fields; white noise draws per label and differs).  Rows
+    are reduced one at a time: memory stays linear in window times samples.
+    """
+    if n_samples < 2:
+        raise ValueError("need at least two samples for a standard error")
+    draws = _stream_draws(field, labels, n_samples, seed, n_streams)
+    rows = [
+        jackknife_estimate(
+            np.stack(
+                [
+                    np.concatenate([values[a] * np.conj(values[b]) for values in draws])
+                    for b in labels
+                ]
+            )
+        )
+        for a in labels
+    ]
+    return CovarianceEstimate(
+        mean=np.array([row.mean for row in rows]),
+        stderr=np.array([row.stderr for row in rows]),
+        n_samples=n_samples,
+    )
 
 
 def jackknife_estimate(products: np.ndarray) -> CovarianceEstimate:
-    """Sample mean of a product array with its delete-one jackknife error."""
-    n = products.size
+    """Sample mean along the last axis with its delete-one jackknife error.
+
+    A 1-D array gives one estimate; each row of a stack gives the bits of
+    the 1-D call on that row.
+    """
+    n = products.shape[-1]
     if n < 2:
         raise ValueError("need at least two samples for a standard error")
-    mean = complex(products.mean())
-    leave_one_out = (products.sum() - products) / (n - 1)
-    stderr = float(
-        np.sqrt((n - 1) / n * (np.abs(leave_one_out - leave_one_out.mean()) ** 2).sum())
-    )
+    mean = products.mean(axis=-1)
+    leave_one_out = (products.sum(axis=-1, keepdims=True) - products) / (n - 1)
+    spread = np.abs(leave_one_out - leave_one_out.mean(axis=-1, keepdims=True)) ** 2
+    stderr = np.sqrt((n - 1) / n * spread.sum(axis=-1))
+    if products.ndim == 1:
+        return CovarianceEstimate(mean=complex(mean), stderr=float(stderr), n_samples=n)
     return CovarianceEstimate(mean=mean, stderr=stderr, n_samples=n)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dualfield import BUILTIN_GROUPS
+from dualfield import cli
 from dualfield.cli import main, resolve_dual
 
 
@@ -425,3 +426,163 @@ class TestNonFiniteNumbersRefused:
         code, out, _ = run(capsys, "check", "--dual", "su2", "--bound", "3", "--tol", "0", "whitenoise")
         assert code == 0
         assert json.loads(out)["tol"] == 0.0
+
+
+class TestSampleCountAndDrawLimit:
+    def test_zero_samples_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate", "--dual", "su2", "--bound", "2", "--seed", "3", "--samples", "0", "whitenoise",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "two samples" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--dual", "su2", "--bound", "1000000000", "--samples", "1000000", "whitenoise"],
+            ["--dual", "su2", "--bound", "1000000000", "whitenoise"],
+            ["--dual", "su2", "--bound", "1000000000", "--samples", "1000000", "ar1:0.5,0"],
+            ["--dual", "su2", "--bound", "1000000000", "kolmogorov:heat:0.5"],
+            ["--dual", "torus", "--bound", "1000000000", "kolmogorov:haar"],
+            ["--dual", "finite:q8", "--samples", "1000000000", "kolmogorov:haar"],
+            ["--dual", "su2", "--bound", "15", "--samples", str((1 << 20) + 1), "whitenoise"],
+        ],
+    )
+    def test_oversized_draw_refused_before_the_window(self, capsys, monkeypatch, argv):
+        def forbidden(*args):
+            raise AssertionError("the window was built for a refused draw")
+
+        monkeypatch.setattr(cli, "parse_labels", forbidden)
+        code, out, err = run(capsys, "simulate", "--seed", "1", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"limit of {cli.DRAW_LIMIT}" in err
+
+    def test_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DRAW_LIMIT", 12)
+        argv = ["simulate", "--dual", "su2", "--bound", "2", "--seed", "1", "--samples"]
+        assert run(capsys, *argv, "4", "whitenoise")[0] == 0
+        assert run(capsys, *argv, "5", "whitenoise")[0] == 2
+        # Series tables simulate paths up to index 2 * bound: 5 columns.
+        assert run(capsys, *argv, "2", "ar1:0.5,0")[0] == 0
+        assert run(capsys, *argv, "3", "ar1:0.5,0")[0] == 2
+
+    def test_documented_examples_fit(self):
+        su2 = resolve_dual("su2")
+        assert cli._draw_size(su2, True, 3, 100000) == 700000 <= cli.DRAW_LIMIT
+        assert cli._draw_size(resolve_dual("finite:q8"), False, None, 2000) == 10000
+
+
+def call(capsys, argv, fresh=False):
+    """One ``main`` call; ``fresh`` first drops what a new process would not have."""
+    if fresh:
+        cli.build_parser.cache_clear()
+        cli._builtin_group.cache_clear()
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad arguments this way
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestInProcessCalls:
+    """Calls in one process reuse the parser and the builtin tables and print what fresh calls print."""
+
+    def test_parser_and_builtin_table_built_once(self, capsys):
+        call(capsys, ["tensor", "--dual", "finite:q8", "chi_i", "chi_j"], fresh=True)
+        parser, q8 = cli.build_parser(), cli.resolve_dual("finite:Q8")
+        call(capsys, ["cramer", "--dual", "finite:q8", "haar"])
+        assert cli.build_parser() is parser
+        assert cli.resolve_dual("finite:q8") is q8
+
+    def _alternate(self, capsys, first, second):
+        fresh = [call(capsys, first, fresh=True), call(capsys, second, fresh=True)]
+        for _ in range(2):
+            assert [call(capsys, first), call(capsys, second)] == fresh
+        return fresh
+
+    def test_json_then_csv(self, capsys):
+        base = ["tensor", "--dual", "finite:q8", "chi_i", "chi_j"]
+        (code_j, out_j, _), (code_c, out_c, _) = self._alternate(
+            capsys, [*base[:3], "--format", "json", *base[3:]], base
+        )
+        assert code_j == code_c == 0
+        assert json.loads(out_j)["decomposition"][0]["label"] == "chi_k"
+        assert out_c.startswith("label,multiplicity,dim\nchi_k,1,1\n")
+
+    def test_output_then_stdout(self, capsys, tmp_path):
+        target = tmp_path / "table.csv"
+        argv = ["simulate", "--dual", "finite:s3", "--seed", "4", "--samples", "300", "kolmogorov:haar"]
+        (code_f, out_f, _), (code_s, out_s, _) = self._alternate(
+            capsys, [*argv[:-1], "--output", str(target), argv[-1]], argv
+        )
+        assert code_f == code_s == 0
+        assert out_f == ""
+        assert target.read_text() == out_s and out_s.startswith("pi1,pi2,")
+
+    def test_explicit_then_generated_seed(self, capsys):
+        argv = ["simulate", "--dual", "finite:c5", "--samples", "200", "kolmogorov:haar"]
+        explicit = call(capsys, [*argv[:3], "--seed", "8", *argv[3:]], fresh=True)
+        for _ in range(2):
+            assert call(capsys, [*argv[:3], "--seed", "8", *argv[3:]]) == explicit
+            code, out, _ = call(capsys, argv)
+            header, _, body = out.partition("\n")
+            assert code == 0 and header.startswith("# seed=")
+            seed = header[len("# seed="):]
+            assert call(capsys, [*argv[:3], "--seed", seed, *argv[3:]], fresh=True) == (0, body, "")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["tensor", "--dual", "finite:s3", "sgn", "nosuch"],
+            ["tensor", "--dual", "finite:s3", "--format", "xml", "sgn", "sgn"],
+            ["simulate", "--dual", "finite:s3", "--samples", "1", "whitenoise"],
+            ["nosuch-command"],
+        ],
+    )
+    def test_usage_error_then_valid_call(self, capsys, bad):
+        (code_bad, out_bad, err_bad), (code_ok, out_ok, _) = self._alternate(
+            capsys, bad, ["tensor", "--dual", "finite:s3", "std", "std"]
+        )
+        assert code_bad == 2 and out_bad == "" and err_bad
+        assert code_ok == 0 and out_ok.startswith("label,multiplicity,dim\ntrivial,1,1\n")
+
+
+class TestTablesOutsideThePackage:
+    """Tables by path or on DUALFIELD_GROUPS are read on every call."""
+
+    FLIP = {
+        "name": "flip", "order": 2, "class_sizes": [1, 1], "inverse_class": [0, 1],
+        "characters": [[[1, 0], [1, 0]], [[1, 0], [-1, 0]]], "irrep_names": ["trivial", "flip"],
+    }
+    TURN = {
+        "name": "turn", "order": 3, "class_sizes": [1, 1, 1], "inverse_class": [0, 2, 1],
+        "characters": cyclic_table(3)["characters"], "irrep_names": ["trivial", "w", "w2"],
+    }
+
+    def test_rewritten_file_is_read_again(self, capsys, tmp_path, monkeypatch):
+        table = tmp_path / "g.json"
+        monkeypatch.setenv("DUALFIELD_GROUPS", str(tmp_path))
+        for dual in (f"finite:{table}", "finite:g"):
+            table.write_text(json.dumps(self.FLIP))
+            assert call(capsys, ["tensor", "--dual", dual, "flip", "flip"])[:2] == (
+                0, "label,multiplicity,dim\ntrivial,1,1\n# dimcheck 1=1\n"
+            )
+            table.write_text(json.dumps(self.TURN))
+            assert call(capsys, ["tensor", "--dual", dual, "w", "w"])[:2] == (
+                0, "label,multiplicity,dim\nw2,1,1\n# dimcheck 1=1\n"
+            )
+            assert call(capsys, ["tensor", "--dual", dual, "flip", "flip"])[0] == 2
+
+    def test_corrupt_table_on_search_path_fails_every_call(self, capsys, tmp_path, monkeypatch):
+        bad = dict(self.FLIP, characters=[[[1, 0], [1, 0]], [[1, 0], [-0.5, 0]]])
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        monkeypatch.setenv("DUALFIELD_GROUPS", str(tmp_path))
+        for _ in range(3):
+            code, out, err = call(capsys, ["tensor", "--dual", "finite:bad", "0", "0"])
+            assert (code, out) == (3, "")
+            assert err.startswith("data error: flip: character rows are not orthonormal")
+            assert call(capsys, ["tensor", "--dual", "finite:s3", "sgn", "sgn"])[0] == 0

@@ -366,6 +366,17 @@ class TestLoadCharacterTable:
         with pytest.raises(DataIntegrityError, match="multiplicity of 1 in 1x1"):
             load_character_table(doc)
 
+    def test_tables_are_read_only(self):
+        # One dual may serve many callers, so nothing it hands out can be written.
+        dual = load_character_table(self._s3_document())
+        with pytest.raises(ValueError, match="read-only"):
+            dual.data.characters[1, 1] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            dual.character(2)[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            dual._structure[1, 1, 0] = 7
+        assert dict(dual.tensor(1, 1).items()) == {0: 1}
+
 
 class TestLabelPresentation:
     def test_finite_names_round_trip(self, q8):
