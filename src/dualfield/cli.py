@@ -54,9 +54,15 @@ from .stationary_fields import estimate_covariance  # noqa: F401
 from .time_series import SeriesField, parse_series_spec
 
 ENV_GROUP_PATH = "DUALFIELD_GROUPS"
-# Most complex values one ``simulate`` call may draw (window columns times
-# samples); larger requests are refused before anything is allocated.
+# Most complex values' worth of memory one ``simulate`` call may hold at once,
+# the most pairs of a ``check`` window and the most labels of a ``spectral``
+# window.  Larger requests are refused before anything is allocated.
 DRAW_LIMIT = 1 << 24
+# What a ``simulate`` call holds at its peak, in complex values: per drawn
+# value the draw, a row of products or the paths, and their temporaries; per
+# output row its moments and its text.
+PEAK_PER_DRAWN = 4
+PEAK_PER_ROW = 32
 
 
 def _fmt(x: float) -> str:
@@ -101,6 +107,20 @@ def _load_group(name: str) -> FiniteGroupDual:
         f"unknown group {name!r}: not a builtin ({', '.join(BUILTIN_GROUPS)}), "
         f"not a file, and not found on {ENV_GROUP_PATH}"
     )
+
+
+def _window_count(dual: DualStructure, text: str | None, bound: int | None) -> int:
+    """Labels in the window :func:`parse_labels` would build, counted without building it."""
+    if text and ".." in text:
+        lo, hi = text.split("..", maxsplit=1)
+        return max(0, int(hi) - int(lo) + 1)
+    if text:
+        return len(text.split(","))
+    if isinstance(dual, FiniteGroupDual):
+        return dual.data.num_classes
+    if bound is None:
+        return 0
+    return max(0, 2 * bound + 1 if isinstance(dual, TorusDual) else bound + 1)
 
 
 def parse_labels(dual: DualStructure, text: str | None, bound: int | None):
@@ -210,6 +230,12 @@ def cmd_convolve(args):
 def cmd_spectral(args):
     dual = resolve_dual(args.dual)
     measure = parse_measure_spec(dual, args.measure)
+    count = _window_count(dual, args.labels, args.bound)
+    if count > DRAW_LIMIT:
+        raise ValueError(
+            f"spectral window of {count} labels is over the limit of {DRAW_LIMIT}; "
+            "narrow --labels or --bound"
+        )
     labels = parse_labels(dual, args.labels, args.bound)
     rows = [(label, measure.fourier(label)) for label in labels]
     if args.format == "json":
@@ -264,13 +290,21 @@ def _series_covariance_table(field: SeriesField, n_max: int, n_samples: int, see
 
 def _draw_size(dual: DualStructure, series: bool, bound: int | None, samples: int | None) -> int:
     """Complex values a ``simulate`` call draws, counted without building its window."""
-    if isinstance(dual, FiniteGroupDual):
-        columns = dual.data.num_classes
-    elif isinstance(dual, TorusDual) or (series and samples is not None):
-        columns = 2 * bound + 1  # labels -bound..bound, or series paths to index 2 * bound
+    if series and samples is not None:
+        columns = 2 * bound + 1  # series paths to index 2 * bound
     else:
-        columns = bound + 1
+        columns = _window_count(dual, None, bound)
     return columns * (samples or 1)
+
+
+def _peak_size(dual: DualStructure, series: bool, bound: int | None, samples: int | None) -> int:
+    """Complex values' worth of memory a ``simulate`` call holds at its peak, counted ahead."""
+    labels = _window_count(dual, None, bound)
+    if samples is None:
+        rows = labels
+    else:
+        rows = bound + 1 if series else labels * labels
+    return PEAK_PER_DRAWN * _draw_size(dual, series, bound, samples) + PEAK_PER_ROW * rows
 
 
 def cmd_simulate(args):
@@ -284,11 +318,11 @@ def cmd_simulate(args):
     series = isinstance(field, SeriesField)
     if args.bound is None and (series or not isinstance(dual, FiniteGroupDual)):
         raise ValueError("simulate needs --bound for the label window")
-    size = _draw_size(dual, series, args.bound, args.samples)
-    if size > DRAW_LIMIT:
+    peak = _peak_size(dual, series, args.bound, args.samples)
+    if peak > DRAW_LIMIT:
         raise ValueError(
-            f"simulate would draw {size} complex values, over the limit of {DRAW_LIMIT}; "
-            "lower --bound or --samples"
+            f"simulate would hold {peak} complex values' worth of draws, products and output, "
+            f"over the limit of {DRAW_LIMIT}; lower --bound or --samples"
         )
     labels = parse_labels(dual, None, args.bound)
     header = f"# seed={seed}\n" if generated else ""
@@ -329,6 +363,12 @@ def cmd_check(args):
     dual = resolve_dual(args.dual)
     seed = args.seed if args.seed is not None else 0
     field = parse_field_spec(dual, args.spec, seed)
+    count = _window_count(dual, args.labels, args.bound)
+    if count * count > DRAW_LIMIT:
+        raise ValueError(
+            f"check window of {count} labels has {count * count} pairs, over the limit of "
+            f"{DRAW_LIMIT}; narrow --labels or --bound"
+        )
     labels = parse_labels(dual, args.labels, args.bound)
     if args.kind == "statdef":
         report = check_stationarity(dual, field.second_moment, labels, tol=args.tol)

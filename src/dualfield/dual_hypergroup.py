@@ -196,10 +196,36 @@ class DualStructure:
     def validate_label(self, label: Label) -> Label:
         raise NotImplementedError
 
+    def validate_labels(self, labels: Iterable[Label]) -> np.ndarray:
+        """Validated labels as one integer array, checked as an array where possible.
+
+        Anything but a nonempty flat integer array inside the dual's range
+        is validated label by label, so errors match :meth:`validate_label`.
+        """
+        try:
+            x = np.asarray(labels)
+        except ValueError:  # ragged input
+            x = None
+        if x is not None and x.ndim == 1 and x.size and x.dtype.kind == "i" and self._in_range(x):
+            return x.astype(int, copy=False)
+        return np.array([self.validate_label(label) for label in labels])
+
+    def _in_range(self, x: np.ndarray) -> bool:
+        """Whether every entry of an integer array is a label; False validates one by one."""
+        return False
+
     def dim(self, label: Label) -> int:
         raise NotImplementedError
 
+    def dims(self, x: np.ndarray) -> np.ndarray:
+        """Dimensions of an array of validated labels."""
+        raise NotImplementedError
+
     def conjugate(self, label: Label) -> Label:
+        raise NotImplementedError
+
+    def conjugates(self, x: np.ndarray) -> np.ndarray:
+        """Conjugates of an array of validated labels."""
         raise NotImplementedError
 
     def tensor(self, a: Label, b: Label) -> DualVector:
@@ -211,11 +237,15 @@ class DualStructure:
         ``a`` is an integer column and ``b`` an integer row.  Yields
         ``(k, m)`` in ascending k for every irreducible k that occurs,
         where ``m[i, j]`` is the multiplicity of k in ``a[i] (x) b[j]``.
-        :func:`pair_matrix` sums over these only on duals without a
-        :meth:`band` (the torus and the finite groups); the translated
-        white-noise moment uses them on every dual.
+        :func:`pair_grid` sums over these on duals without a
+        :meth:`band` (the torus and the finite groups); duals with one
+        need neither this nor :meth:`components`.
         """
         raise NotImplementedError
+
+    def components(self, a: np.ndarray, b: np.ndarray) -> list[Label]:
+        """The k that :meth:`multiplicities` yields, ascending, without their grids."""
+        return [k for k, _ in self.multiplicities(a, b)]
 
     def band(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
         """Tensor decompositions over a grid as arithmetic progressions, if they are.
@@ -259,12 +289,21 @@ class TorusDual(DualStructure):
             raise LabelDomainError(f"torus: label {label!r} is not an integer")
         return int(label)
 
+    def _in_range(self, x):
+        return True
+
     def dim(self, label: Label) -> int:
         self.validate_label(label)
         return 1
 
+    def dims(self, x):
+        return np.ones_like(x)
+
     def conjugate(self, label: Label) -> Label:
         return -self.validate_label(label)
+
+    def conjugates(self, x):
+        return -x
 
     def tensor(self, a: Label, b: Label) -> DualVector:
         return DualVector({self.validate_label(a) + self.validate_label(b): 1})
@@ -273,6 +312,9 @@ class TorusDual(DualStructure):
         total = a + b
         for k in np.unique(total):
             yield int(k), (total == k).astype(int)
+
+    def components(self, a, b):
+        return np.unique(a + b).tolist()
 
     def labels(self, bound: int | None = None) -> list[Label]:
         if bound is None:
@@ -300,12 +342,21 @@ class SU2Dual(DualStructure):
             raise LabelDomainError(f"su2: label {label!r} is not a nonnegative integer")
         return int(label)
 
+    def _in_range(self, x):
+        return x.min() >= 0
+
     def dim(self, label: Label) -> int:
         return self.validate_label(label) + 1
+
+    def dims(self, x):
+        return x + 1
 
     def conjugate(self, label: Label) -> Label:
         # Every SU(2) irreducible is self-conjugate (real characters).
         return self.validate_label(label)
+
+    def conjugates(self, x):
+        return x
 
     def tensor(self, a: Label, b: Label) -> DualVector:
         a = self.validate_label(a)
@@ -315,15 +366,6 @@ class SU2Dual(DualStructure):
     def band(self, a, b):
         # Clebsch-Gordan: |a-b|, |a-b| + 2, ..., a+b.
         return np.abs(a - b), np.minimum(a, b), 2
-
-    def multiplicities(self, a, b):
-        # Clebsch-Gordan: k occurs once when |a-b| <= k <= a+b and k = a+b mod 2.
-        low, high = np.abs(a - b), a + b
-        parity = high % 2
-        for k in range(int(low.min()), int(high.max()) + 1):
-            m = ((low <= k) & (k <= high) & (parity == k % 2)).astype(int)
-            if m.any():
-                yield k, m
 
     def labels(self, bound: int | None = None) -> list[Label]:
         if bound is None:
@@ -452,11 +494,20 @@ class FiniteGroupDual(DualStructure):
             raise LabelDomainError(f"{self.name}: unknown irreducible label {label!r}")
         return int(label)
 
+    def _in_range(self, x):
+        return x.min() >= 0 and x.max() < self.data.num_classes
+
     def dim(self, label: Label) -> int:
         return self._dims[self.validate_label(label)]
 
+    def dims(self, x):
+        return np.array(self._dims)[x]
+
     def conjugate(self, label: Label) -> Label:
         return self._conjugate[self.validate_label(label)]
+
+    def conjugates(self, x):
+        return np.array(self._conjugate)[x]
 
     def tensor(self, a: Label, b: Label) -> DualVector:
         row = self._structure[self.validate_label(a), self.validate_label(b)].tolist()
@@ -590,6 +641,28 @@ def pair_matrix(
     normalized.  ``value`` is called once per irreducible that occurs,
     in ascending order, and its terms are added in ascending k, as
     :func:`convolve` orders them, so every entry is the per-pair sum.
+    """
+    return pair_grid(dual, labels, None, per_label(value), kind)
+
+
+def per_label(value: Callable[[Label], complex]) -> Callable[[list[Label]], np.ndarray]:
+    """The ``values_at`` of :func:`pair_grid` that calls ``value`` once per label, in order."""
+    return lambda ks: np.array([complex(value(k)) for k in ks], dtype=complex)
+
+
+def pair_grid(
+    dual: DualStructure,
+    rows: Iterable[Label],
+    columns: Iterable[Label] | None,
+    values_at: Callable[[list[Label]], np.ndarray],
+    kind="representation_ring",
+) -> np.ndarray:
+    """:func:`pair_matrix` over rows x columns (rows x rows when ``columns`` is None).
+
+    ``values_at`` is called once, with the ascending list of every
+    irreducible that occurs, and returns their values as one complex
+    array; entry (i, j) has the bits of the per-pair sum for a = rows[i],
+    b = columns[j].  Each label is validated once.
 
     On duals with a :meth:`~DualStructure.band` (SU(2)) the terms of a
     pair are a progression, so pairs that start at the same irreducible
@@ -598,28 +671,37 @@ def pair_matrix(
     """
     if kind not in ("representation_ring", "normalized"):
         raise ValueError(f"unknown convolution kind {kind!r}")
-    labels = list(labels)
-    if not labels:
+    rows = list(rows)
+    columns = rows if columns is None else list(columns)
+    if not rows or not columns:
         raise ValueError("empty label window")
-    a = np.array([dual.validate_label(x) for x in labels])[:, None]
-    b = np.array([dual.conjugate(x) for x in labels])[None, :]
+    x = dual.validate_labels(rows)
+    y = x if columns is rows else dual.validate_labels(columns)
+    a = x[:, None]
+    b = dual.conjugates(y)[None, :]
     scale = None
     if kind == "normalized":
-        dims = np.array([dual.dim(x) for x in labels])
-        scale = 1.0 / (dims[:, None] * dims[None, :])
+        scale = 1.0 / (dual.dims(x)[:, None] * dual.dims(y)[None, :])
     band = dual.band(a, b)
     if band is None:
-        out = np.zeros((len(labels), len(labels)), dtype=complex)
-        for k, m in dual.multiplicities(a, b):
-            c = m if scale is None else scale * m * dual.dim(k)
-            np.add(out, c * complex(value(k)), out=out, where=m != 0)
+        out = np.zeros((len(x), len(y)), dtype=complex)
+        ks = dual.components(a, b)
+        terms = zip(
+            dual.multiplicities(a, b),
+            values_at(ks).tolist(),
+            dual.dims(np.array(ks)).tolist(),
+            strict=True,
+        )
+        for (_, m), v, d in terms:
+            c = m if scale is None else scale * m * d
+            np.add(out, c * v, out=out, where=m != 0)
         return out
     first, span, step = band
     if scale is None:
-        out = _band_ring(first.ravel(), span.ravel(), step, value)
+        out = _band_ring(first.ravel(), span.ravel(), step, values_at)
     else:
-        out = _band_normalized(dual, first.ravel(), span.ravel(), step, scale.ravel(), value)
-    return out.reshape(len(labels), len(labels))
+        out = _band_normalized(dual, first.ravel(), span.ravel(), step, scale.ravel(), values_at)
+    return out.reshape(len(x), len(y))
 
 
 # Entries per block of the running-sum table: bounds its memory on windows
@@ -627,8 +709,8 @@ def pair_matrix(
 _BAND_BLOCK = 1 << 20
 
 
-def _band_values(first, span, step, value):
-    """value(k) at offset k - first.min(), called once per k that occurs, ascending.
+def _band_values(first, span, step, values_at):
+    """Values at offset k - first.min(), from one ``values_at`` call on every k that occurs.
 
     Irreducibles that do not occur hold 0j; the array ends with at least
     one such slot.
@@ -640,14 +722,14 @@ def _band_values(first, span, step, value):
     # cumulative count per class marks the irreducibles some pair covers.
     cover = np.bincount(first - lo, minlength=size) - np.bincount(last - lo + step, minlength=size)
     offsets = np.flatnonzero(cover.reshape(-1, step).cumsum(axis=0).ravel())
-    values = np.zeros(size, dtype=complex)
-    values[offsets] = [complex(value(k)) for k in (offsets + lo).tolist()]
-    return lo, offsets, values
+    table = np.zeros(size, dtype=complex)
+    table[offsets] = values_at((offsets + lo).tolist())
+    return lo, offsets, table
 
 
-def _band_ring(first, span, step, value):
+def _band_ring(first, span, step, values_at):
     """Multiplicity-one progressions summed from running sums per first irreducible."""
-    lo, _, values = _band_values(first, span, step, value)
+    lo, _, values = _band_values(first, span, step, values_at)
     # Multiplicity 1 times value(k) by the per-pair complex multiply, which
     # fixes the bits of non-finite values.
     terms = np.ones(len(values), dtype=int) * values
@@ -674,11 +756,11 @@ def _band_ring(first, span, step, value):
     return out
 
 
-def _band_normalized(dual, first, span, step, scale, value):
+def _band_normalized(dual, first, span, step, scale, values_at):
     """Per-entry terms (scale d_k) value(k), added to the pairs that still have a t-th."""
-    lo, offsets, values = _band_values(first, span, step, value)
+    lo, offsets, values = _band_values(first, span, step, values_at)
     dims = np.zeros(len(values))
-    dims[offsets] = [dual.dim(k) for k in (offsets + lo).tolist()]
+    dims[offsets] = dual.dims(offsets + lo)
     # Pairs with a t-th term are a prefix of the order by descending span.
     live = np.cumsum(np.bincount(span)[::-1])[::-1]
     order = np.argsort(-span, kind="stable")

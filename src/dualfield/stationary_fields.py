@@ -14,13 +14,20 @@ oracles only; Monte Carlo enters solely through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .central_measures import CentralMeasure, FiniteClassMeasure
-from .dual_hypergroup import DualStructure, DualVector, FiniteGroupDual, Label, pair_matrix
+from .dual_hypergroup import (
+    DualStructure,
+    DualVector,
+    FiniteGroupDual,
+    Label,
+    pair_grid,
+    per_label,
+)
 from .dual_hypergroup import convolve  # noqa: F401  perfbench/instrument.py wraps this name
 from .errors import CapabilityError
 
@@ -37,7 +44,10 @@ def white_noise_sequence(shape, seed=None, rng=None) -> np.ndarray:
         rng = np.random.default_rng(seed)
     shape = shape if isinstance(shape, tuple) else (shape,)
     block = rng.normal(size=(2, *shape), scale=np.sqrt(0.5))
-    return block[0] + 1j * block[1]
+    # 1j * imaginary + real, added in place: the bits of real + 1j * imaginary.
+    values = 1j * block[1]
+    values += block[0]
+    return values
 
 
 def evaluate_at_vector(sample: Mapping[Label, object], vec: DualVector):
@@ -50,7 +60,12 @@ def evaluate_at_vector(sample: Mapping[Label, object], vec: DualVector):
 
 
 class FieldSampler:
-    """Joint sampler over irreducible labels with an exact moment oracle."""
+    """Joint sampler over irreducible labels with an exact moment oracle.
+
+    A subclass that overrides ``second_moment`` but not
+    ``second_moment_matrix`` gets the per-pair matrix, never the array form
+    of the class it extends.
+    """
 
     dual: DualStructure
     descriptor: str
@@ -60,6 +75,11 @@ class FieldSampler:
         self.seed = seed
         self.descriptor = descriptor
         self._rng = np.random.default_rng(seed)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "second_moment" in cls.__dict__ and "second_moment_matrix" not in cls.__dict__:
+            cls.second_moment_matrix = FieldSampler.second_moment_matrix
 
     def sample_batch(self, labels: Iterable[Label], count: int) -> dict[Label, np.ndarray]:
         """Draw ``count`` independent joint samples at the given labels."""
@@ -73,9 +93,19 @@ class FieldSampler:
         """Exact E(Y_a conj(Y_b)); raises if no oracle is available."""
         raise CapabilityError(f"{self.descriptor}: no exact second-moment oracle")
 
-    def second_moment_matrix(self, labels: Sequence[Label]) -> np.ndarray:
-        """Entry (i, j) is ``second_moment(labels[i], labels[j])``, bit for bit."""
-        return pairwise_matrix(self.second_moment, labels)
+    def second_moment_matrix(
+        self, labels: Sequence[Label], columns: Sequence[Label] | None = None
+    ) -> np.ndarray:
+        """Entry (i, j) is ``second_moment(labels[i], columns[j])``, bit for bit.
+
+        ``columns`` defaults to ``labels``.
+        """
+        return pairwise_matrix(self.second_moment, labels, columns)
+
+    def _window(self, labels, columns):
+        """Validated row and column label arrays of a moment matrix."""
+        rows = self.dual.validate_labels(labels)
+        return rows, rows if columns is None else self.dual.validate_labels(columns)
 
     def reseeded(self, seed) -> "FieldSampler":
         raise NotImplementedError
@@ -107,9 +137,9 @@ class WhiteNoiseField(FieldSampler):
         self.dual.validate_label(b)
         return 1.0 + 0j if a == b else 0j
 
-    def second_moment_matrix(self, labels):
-        index = np.array([self.dual.validate_label(x) for x in labels])
-        return (index[:, None] == index[None, :]).astype(complex)
+    def second_moment_matrix(self, labels, columns=None):
+        rows, cols = self._window(labels, columns)
+        return (rows[:, None] == cols[None, :]).astype(complex)
 
     def reseeded(self, seed):
         return WhiteNoiseField(self.dual, seed)
@@ -152,8 +182,13 @@ class KolmogorovField(FieldSampler):
         terms = self.dual.tensor(a, self.dual.conjugate(b))
         return complex(sum(c * complex(self._fourier(k)) for k, c in terms.items()))
 
-    def second_moment_matrix(self, labels):
-        return pair_matrix(self.dual, labels, self._fourier)
+    def second_moment_matrix(self, labels, columns=None):
+        transform = per_label(self._fourier)
+        rows, cols = self._window(labels, columns)
+        if cols.tolist() == [self.dual.neutral]:
+            # k (x) conj(neutral) = k once: each entry is 0 + 1 * transform(k).
+            return (1 * transform(rows.tolist()) + 0j)[:, None]
+        return pair_grid(self.dual, rows, None if columns is None else cols, transform)
 
     def covariance(self, label: Label) -> complex:
         """C(label) = E(Y_label conj(Y_neutral)) = transform of the measure."""
@@ -199,14 +234,24 @@ class TranslatedField(FieldSampler):
                 total += m1 * np.conj(m2) * self.base.second_moment(k1, k2)
         return complex(total)
 
-    def second_moment_matrix(self, labels):
-        if not isinstance(self.base, WhiteNoiseField):
-            return super().second_moment_matrix(labels)
-        # Over white noise every term is m1 m2 [k1 == k2], an exact integer.
-        index = np.array([self.dual.validate_label(x) for x in labels])[:, None]
-        shift = np.array([[self.shift]])
-        counts = np.hstack([m for _, m in self.dual.multiplicities(index, shift)])
-        return (counts @ counts.T).astype(complex)
+    def second_moment_matrix(self, labels, columns=None):
+        if type(self.base).second_moment_matrix is not WhiteNoiseField.second_moment_matrix:
+            return super().second_moment_matrix(labels, columns)
+        # Over white noise every term is m1 m2 [k1 == k2], an exact integer:
+        # entry (i, j) is the product of the multiplicity rows of the two labels.
+        # One ``tensor`` per distinct label keeps the table as wide as the
+        # irreducibles that occur, however far apart the labels are.
+        rows, cols = self._window(labels, columns)
+        both = rows if columns is None else np.concatenate([rows, cols])
+        distinct, at = np.unique(both, return_inverse=True)
+        shifted = [self._shifted(x) for x in distinct.tolist()]
+        column = {k: j for j, k in enumerate(sorted({k for v in shifted for k in v.support}))}
+        counts = np.zeros((len(shifted), len(column)), dtype=int)
+        for i, vector in enumerate(shifted):
+            for k, m in vector.items():
+                counts[i, column[k]] = int(m.real)
+        counts = counts[at]
+        return (counts[: len(rows)] @ counts[len(both) - len(cols) :].T).astype(complex)
 
     def reseeded(self, seed):
         return TranslatedField(self.base.reseeded(seed), self.shift)
@@ -241,15 +286,63 @@ class Witness:
         return abs(self.lhs - self.rhs)
 
 
-@dataclass(frozen=True)
 class StationarityReport:
-    condition: str
-    passed: bool
-    max_violation: float
-    tol: float
-    witnesses: tuple[Witness, ...]
+    """Verdict of a check and its witnesses: the pairs above ``tol``.
+
+    Witnesses come by descending violation, ties in window order.  A check
+    keeps the flagged pairs as arrays: the :class:`Witness` tuple is built
+    the first time ``witnesses`` is read, and :meth:`to_json_dict` renders
+    from the arrays.  A report compares, hashes and prints as the frozen
+    record of its five fields.
+    """
+
+    __slots__ = ("condition", "passed", "max_violation", "tol", "_witnesses", "_flagged")
+
+    def __init__(
+        self,
+        condition: str,
+        passed: bool,
+        max_violation: float,
+        tol: float,
+        witnesses: tuple[Witness, ...],
+    ):
+        fields = (condition, passed, max_violation, tol, witnesses, None)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_flagged(cls, condition, tol, worst, labels, flagged, lhs, rhs, violation):
+        """Report of the flagged flat pair indices of a window, with their values."""
+        report = cls(condition, worst <= tol, worst, tol, None)
+        object.__setattr__(report, "_flagged", (labels, flagged, lhs, rhs, violation))
+        return report
+
+    def _pairs(self):
+        labels, flagged, *_ = self._flagged
+        n = len(labels)
+        return [(labels[p // n], labels[p % n]) for p in flagged.tolist()]
+
+    @property
+    def witnesses(self) -> tuple[Witness, ...]:
+        if self._witnesses is None:
+            _, _, lhs, rhs, _ = self._flagged
+            built = tuple(
+                Witness(a, b, left, right)
+                for (a, b), left, right in zip(self._pairs(), lhs.tolist(), rhs.tolist())
+            )
+            object.__setattr__(self, "_witnesses", built)
+        return self._witnesses
 
     def to_json_dict(self, label_to_str=str) -> dict:
+        if self._flagged is None:
+            rows = [
+                ((w.pi1, w.pi2), w.lhs.real, w.lhs.imag, w.rhs.real, w.rhs.imag, w.violation)
+                for w in self._witnesses
+            ]
+        else:
+            _, _, lhs, rhs, violation = self._flagged
+            parts = (lhs.real, lhs.imag, rhs.real, rhs.imag, violation)
+            rows = zip(self._pairs(), *(part.tolist() for part in parts))
         return {
             "condition": self.condition,
             "pass": self.passed,
@@ -257,37 +350,68 @@ class StationarityReport:
             "tol": self.tol,
             "witnesses": [
                 {
-                    "pi1": label_to_str(w.pi1),
-                    "pi2": label_to_str(w.pi2),
-                    "lhs": [w.lhs.real, w.lhs.imag],
-                    "rhs": [w.rhs.real, w.rhs.imag],
-                    "violation": w.violation,
+                    "pi1": label_to_str(a),
+                    "pi2": label_to_str(b),
+                    "lhs": [lhs_re, lhs_im],
+                    "rhs": [rhs_re, rhs_im],
+                    "violation": v,
                 }
-                for w in self.witnesses
+                for (a, b), lhs_re, lhs_im, rhs_re, rhs_im, v in rows
             ],
         }
 
+    def _fields(self):
+        return (self.condition, self.passed, self.max_violation, self.tol, self.witnesses)
 
-def pairwise_matrix(oracle: SecondMomentOracle, labels: Sequence[Label]) -> np.ndarray:
-    """Entry (i, j) is ``oracle(labels[i], labels[j])``, called in row-major order."""
-    return np.array([[complex(oracle(a, b)) for b in labels] for a in labels], dtype=complex)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        names = ("condition", "passed", "max_violation", "tol", "witnesses")
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._fields()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def moment_matrix(oracle: SecondMomentOracle, labels: Sequence[Label]) -> np.ndarray:
-    """E(Y_a conj(Y_b)) over a label window, from the oracle's own matrix when it has one.
+def pairwise_matrix(
+    oracle: SecondMomentOracle, labels: Sequence[Label], columns: Sequence[Label] | None = None
+) -> np.ndarray:
+    """Entry (i, j) is ``oracle(labels[i], columns[j])``, called in row-major order.
 
-    A field's bound ``second_moment`` is served by ``second_moment_matrix``
-    and any callable with a ``matrix(labels)`` attribute by that attribute;
-    both equal the per-pair values bit for bit.  Every other callable is
-    asked once per pair.
+    ``columns`` defaults to ``labels``.
+    """
+    columns = labels if columns is None else columns
+    return np.array([[complex(oracle(a, b)) for b in columns] for a in labels], dtype=complex)
+
+
+def moment_matrix(
+    oracle: SecondMomentOracle, labels: Sequence[Label], columns: Sequence[Label] | None = None
+) -> np.ndarray:
+    """E(Y_a conj(Y_b)) over labels x columns, from the oracle's own matrix when it has one.
+
+    ``columns`` defaults to ``labels``.  A field's bound ``second_moment``
+    is served by ``second_moment_matrix(labels, columns)`` and any callable
+    with a ``matrix(labels, columns)`` attribute by that attribute; both
+    equal the per-pair values bit for bit.  Every other callable is asked
+    once per pair.
     """
     owner = getattr(oracle, "__self__", None)
     if isinstance(owner, FieldSampler) and oracle == owner.second_moment:
-        return owner.second_moment_matrix(labels)
+        return owner.second_moment_matrix(labels, columns)
     matrix = getattr(oracle, "matrix", None)
     if matrix is not None:
-        return matrix(labels)
-    return pairwise_matrix(oracle, labels)
+        return matrix(labels, columns)
+    return pairwise_matrix(oracle, labels, columns)
 
 
 def _check_pairs(condition, dual, oracle, labels, kind, tol):
@@ -295,9 +419,14 @@ def _check_pairs(condition, dual, oracle, labels, kind, tol):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     labels = list(labels)
     n = len(labels)
+
+    def covariance(ks):
+        """C(k) = E(Y_k conj(Y_neutral)) for every k that occurs, in one call."""
+        return moment_matrix(oracle, ks, [dual.neutral]).ravel()
+
     # Non-finite moments are refused below, so their arithmetic needs no warning.
     with np.errstate(invalid="ignore", over="ignore"):
-        rhs = pair_matrix(dual, labels, lambda k: oracle(k, dual.neutral), kind).ravel()
+        rhs = pair_grid(dual, labels, None, covariance, kind).ravel()
         lhs = moment_matrix(oracle, labels).ravel()
         finite = np.isfinite(lhs) & np.isfinite(rhs)
         if not finite.all():
@@ -312,18 +441,15 @@ def _check_pairs(condition, dual, oracle, labels, kind, tol):
         violation = np.hypot(diff.real, diff.imag)
     flagged = np.flatnonzero(violation > tol)
     flagged = flagged[np.argsort(-violation[flagged], kind="stable")]
-    worst = float(violation.max())
-    return StationarityReport(
-        condition=condition,
-        passed=worst <= tol,
-        max_violation=worst,
-        tol=tol,
-        witnesses=tuple(
-            Witness(labels[p // n], labels[p % n], left, right)
-            for p, left, right in zip(
-                flagged.tolist(), lhs[flagged].tolist(), rhs[flagged].tolist()
-            )
-        ),
+    return StationarityReport._from_flagged(
+        condition,
+        tol,
+        float(violation.max()),
+        labels,
+        flagged,
+        lhs[flagged],
+        rhs[flagged],
+        violation[flagged],
     )
 
 
@@ -505,36 +631,47 @@ def estimate_covariance_matrix(
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
     draws = _stream_draws(field, labels, n_samples, seed, n_streams)
-    rows = [
-        jackknife_estimate(
-            np.stack(
-                [
-                    np.concatenate([values[a] * np.conj(values[b]) for values in draws])
-                    for b in labels
-                ]
-            )
-        )
-        for a in labels
-    ]
-    return CovarianceEstimate(
-        mean=np.array([row.mean for row in rows]),
-        stderr=np.array([row.stderr for row in rows]),
-        n_samples=n_samples,
-    )
+    n = len(labels)
+    mean = np.empty((n, n), dtype=complex)
+    stderr = np.empty((n, n))
+    # One row of products at a time, reduced in place.
+    row = np.empty((n, n_samples), dtype=complex)
+    for i, a in enumerate(labels):
+        start = 0
+        for values in draws:
+            stop = start + len(values[a])
+            for j, b in enumerate(labels):
+                # The expression of estimate_covariance: numpy may reuse the conj
+                # temporary and swap the operands, which sets the product's bits.
+                row[j, start:stop] = values[a] * np.conj(values[b])
+            start = stop
+        estimate = _jackknife_in_place(row)
+        mean[i], stderr[i] = estimate.mean, estimate.stderr
+    return CovarianceEstimate(mean=mean, stderr=stderr, n_samples=n_samples)
 
 
 def jackknife_estimate(products: np.ndarray) -> CovarianceEstimate:
     """Sample mean along the last axis with its delete-one jackknife error.
 
     A 1-D array gives one estimate; each row of a stack gives the bits of
-    the 1-D call on that row.
+    the 1-D call on that row.  ``products`` is left unchanged.
     """
+    products = np.asarray(products)
+    return _jackknife_in_place(products.astype(np.result_type(products.dtype, float)))
+
+
+def _jackknife_in_place(products: np.ndarray) -> CovarianceEstimate:
+    """:func:`jackknife_estimate`, overwriting ``products``; one real temporary of its shape."""
     n = products.shape[-1]
     if n < 2:
         raise ValueError("need at least two samples for a standard error")
     mean = products.mean(axis=-1)
-    leave_one_out = (products.sum(axis=-1, keepdims=True) - products) / (n - 1)
-    spread = np.abs(leave_one_out - leave_one_out.mean(axis=-1, keepdims=True)) ** 2
+    # The leave-one-out means, centred, as (total - x) / (n - 1) - their mean.
+    leave_one_out = np.subtract(products.sum(axis=-1, keepdims=True), products, out=products)
+    np.true_divide(leave_one_out, n - 1, out=leave_one_out)
+    np.subtract(leave_one_out, leave_one_out.mean(axis=-1, keepdims=True), out=leave_one_out)
+    spread = np.abs(leave_one_out)
+    np.square(spread, out=spread)
     stderr = np.sqrt((n - 1) / n * spread.sum(axis=-1))
     if products.ndim == 1:
         return CovarianceEstimate(mean=complex(mean), stderr=float(stderr), n_samples=n)

@@ -84,18 +84,27 @@ def _per_distinct(values: np.ndarray, f: Callable) -> np.ndarray:
     return np.array([f(v) for v in distinct.tolist()])[at.reshape(values.shape)]
 
 
-def _hermitian(re: np.ndarray, im: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _indices(labels: Sequence[Label]) -> np.ndarray:
+    """Integer array of labels, checked with ``operator.index`` unless already integers."""
+    n = np.asarray(labels)
+    if n.dtype.kind != "i":
+        n = np.array([operator.index(x) for x in labels])
+    return n
+
+
+def _hermitian(re: np.ndarray, im: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Values at n1 >= n2 from their parts, conjugated where n1 < n2, as the oracles branch."""
     out = np.empty(re.shape, dtype=complex)
     out.real = re
-    out.imag = np.where(n[:, None] < n[None, :], -im, im)
+    out.imag = np.where(n[:, None] < m[None, :], -im, im)
     return out
 
 
 def ar1_second_moment_oracle(lam: complex) -> Callable[[Label, Label], complex]:
     """Exact two-index covariance oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2})).
 
-    ``oracle.matrix(labels)`` gives it over every pair of a window, bit for bit.
+    ``oracle.matrix(labels, columns=None)`` gives it over labels x columns
+    (the labels squared by default), bit for bit.
     """
 
     def oracle(n1: Label, n2: Label) -> complex:
@@ -103,27 +112,28 @@ def ar1_second_moment_oracle(lam: complex) -> Callable[[Label, Label], complex]:
             return ar1_covariance(lam, n2, n1 - n2)
         return np.conj(ar1_covariance(lam, n1, n2 - n1))
 
-    def matrix(labels: Sequence[Label]) -> np.ndarray:
-        n = np.array([operator.index(x) for x in labels])
-        if n.size and n.min() < 0:
+    def matrix(labels: Sequence[Label], columns: Sequence[Label] | None = None) -> np.ndarray:
+        n = _indices(labels)
+        m = n if columns is None else _indices(columns)
+        if (n.size and n.min() < 0) or (m.size and m.min() < 0):
             raise ValueError("indices must be nonnegative")
         z = complex(lam)
         r2 = abs(z) ** 2
-        low = np.minimum(n[:, None], n[None, :])
-        power = _per_distinct(np.abs(n[:, None] - n[None, :]), lambda h: z**h)
+        low = np.minimum(n[:, None], m[None, :])
+        power = _per_distinct(np.abs(n[:, None] - m[None, :]), lambda h: z**h)
         x, y = power.real, power.imag
         # ar1_covariance's mixed arithmetic on the parts: Python (before 3.14)
         # promotes the real operand to complex, and numpy's complex division
         # would round differently.
         if abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:
             scale = (low + 1).astype(float)
-            return _hermitian(scale * x - 0.0 * y, scale * y + 0.0 * x, n)
-        tail = _per_distinct(low, lambda m: 1.0 - r2 ** (m + 1))
+            return _hermitian(scale * x - 0.0 * y, scale * y + 0.0 * x, n, m)
+        tail = _per_distinct(low, lambda t: 1.0 - r2 ** (t + 1))
         re, im = x * tail - y * 0.0, x * 0.0 + y * tail
         d = 1.0 - r2
         ratio = 0.0 / d
         denom = d + 0.0 * ratio
-        return _hermitian((re + im * ratio) / denom, (im - re * ratio) / denom, n)
+        return _hermitian((re + im * ratio) / denom, (im - re * ratio) / denom, n, m)
 
     oracle.matrix = matrix
     return oracle
@@ -177,7 +187,8 @@ def ma_covariance(beta: Sequence[complex], h: int) -> complex:
 def ma_second_moment_oracle(beta: Sequence[complex]) -> Callable[[Label, Label], complex]:
     """Exact steady-regime oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2})).
 
-    ``oracle.matrix(labels)`` gives it over every pair of a window, bit for bit.
+    ``oracle.matrix(labels, columns=None)`` gives it over labels x columns
+    (the labels squared by default), bit for bit.
     """
     beta = tuple(complex(b) for b in beta)
 
@@ -186,11 +197,12 @@ def ma_second_moment_oracle(beta: Sequence[complex]) -> Callable[[Label, Label],
             return ma_covariance(beta, n1 - n2)
         return np.conj(ma_covariance(beta, n2 - n1))
 
-    def matrix(labels: Sequence[Label]) -> np.ndarray:
-        n = np.array([operator.index(x) for x in labels])
-        lag = np.abs(n[:, None] - n[None, :])
+    def matrix(labels: Sequence[Label], columns: Sequence[Label] | None = None) -> np.ndarray:
+        n = _indices(labels)
+        m = n if columns is None else _indices(columns)
+        lag = np.abs(n[:, None] - m[None, :])
         gamma = _per_distinct(lag, lambda h: ma_covariance(beta, h))
-        return _hermitian(gamma.real, gamma.imag, n)
+        return _hermitian(gamma.real, gamma.imag, n, m)
 
     oracle.matrix = matrix
     return oracle
@@ -252,8 +264,8 @@ def parse_series_spec(text: str) -> SeriesSpec:
 class SeriesField(FieldSampler):
     """Time-series process viewed as a field on the SU(2) dual labels.
 
-    For MA(q) ``second_moment`` is the steady-regime moment but ``sample_batch``
-    starts from Z_j = 0, so Monte Carlo at labels below q misses the oracle.
+    For MA(q) ``sample_batch`` also draws the q noises before index 0, so
+    every label is in the steady regime of ``second_moment``.
     """
 
     def __init__(self, spec: SeriesSpec, seed=0, dual: SU2Dual | None = None):
@@ -269,14 +281,21 @@ class SeriesField(FieldSampler):
         ordered = sorted(set(labels))
         for label in ordered:
             self.dual.validate_label(label)
-        paths = self.spec.simulate_batch(max(ordered), count, self._rng)
+        n_max = max(ordered)
+        if self.spec.kind == "ma":
+            # Indices -q .. -1 of the extended path hold the noises before index 0.
+            q = len(self.spec.coefficients) - 1
+            paths = simulate_ma_batch(self.spec.coefficients, n_max + q, count, self._rng)[:, q:]
+        else:
+            paths = self.spec.simulate_batch(n_max, count, self._rng)
         return {label: paths[:, label] for label in ordered}
 
     def second_moment(self, a, b):
         return self._oracle(self.dual.validate_label(a), self.dual.validate_label(b))
 
-    def second_moment_matrix(self, labels):
-        return moment_matrix(self._oracle, [self.dual.validate_label(x) for x in labels])
+    def second_moment_matrix(self, labels, columns=None):
+        rows, cols = self._window(labels, columns)
+        return moment_matrix(self._oracle, rows, cols)
 
     def reseeded(self, seed):
         return SeriesField(self.spec, seed, self.dual)

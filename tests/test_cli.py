@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -460,19 +462,136 @@ class TestSampleCountAndDrawLimit:
         assert out == ""
         assert err.startswith("error:") and f"limit of {cli.DRAW_LIMIT}" in err
 
-    def test_limit_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "DRAW_LIMIT", 12)
+    @pytest.mark.parametrize(
+        "spec, series, samples", [("whitenoise", False, 4), ("ar1:0.5,0", True, 2)]
+    )
+    def test_limit_is_inclusive(self, capsys, monkeypatch, spec, series, samples):
+        # The limit counts what the call holds: its draw and its output rows.
+        peak = cli._peak_size(resolve_dual("su2"), series, 2, samples)
+        monkeypatch.setattr(cli, "DRAW_LIMIT", peak)
         argv = ["simulate", "--dual", "su2", "--bound", "2", "--seed", "1", "--samples"]
-        assert run(capsys, *argv, "4", "whitenoise")[0] == 0
-        assert run(capsys, *argv, "5", "whitenoise")[0] == 2
-        # Series tables simulate paths up to index 2 * bound: 5 columns.
-        assert run(capsys, *argv, "2", "ar1:0.5,0")[0] == 0
-        assert run(capsys, *argv, "3", "ar1:0.5,0")[0] == 2
+        assert run(capsys, *argv, str(samples), spec)[0] == 0
+        assert run(capsys, *argv, str(samples + 1), spec)[0] == 2
 
     def test_documented_examples_fit(self):
         su2 = resolve_dual("su2")
         assert cli._draw_size(su2, True, 3, 100000) == 700000 <= cli.DRAW_LIMIT
         assert cli._draw_size(resolve_dual("finite:q8"), False, None, 2000) == 10000
+
+
+class TestWindowLimits:
+    """check and spectral windows are counted from their ends and refused before they are built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--dual", "su2", "--labels", "0..1000000000000", "whitenoise"],
+            ["check", "--dual", "su2", "--bound", "1000000000000", "whitenoise"],
+            ["check", "--dual", "torus", "--labels=-1000000000000..1000000000000", "whitenoise"],
+            ["check", "--dual", "su2", "--labels", "0..4096", "whitenoise"],
+            ["spectral", "--dual", "su2", "--bound", "1000000000000", "haar"],
+            ["spectral", "--dual", "torus", "--bound", str(10**12), "haar"],
+            ["spectral", "--dual", "su2", "--labels", "5..1000000000005", "heat:0.5"],
+        ],
+    )
+    def test_huge_window_refused_at_once(self, capsys, monkeypatch, argv):
+        def forbidden(*args):
+            raise AssertionError("the window was built for a refused request")
+
+        monkeypatch.setattr(cli, "parse_labels", forbidden)
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"limit of {cli.DRAW_LIMIT}" in err
+
+    def test_check_limit_counts_pairs_inclusively(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DRAW_LIMIT", 16)
+        assert run(capsys, "check", "--dual", "su2", "--labels", "0..3", "whitenoise")[0] == 0
+        assert run(capsys, "check", "--dual", "su2", "--labels", "1,0,2,3", "whitenoise")[0] == 0
+        assert run(capsys, "check", "--dual", "su2", "--labels", "0..4", "whitenoise")[0] == 2
+        assert run(capsys, "check", "--dual", "su2", "--labels", "0,1,2,3,4", "whitenoise")[0] == 2
+        assert run(capsys, "check", "--dual", "torus", "--bound", "1", "whitenoise")[0] == 0
+        assert run(capsys, "check", "--dual", "torus", "--bound", "2", "whitenoise")[0] == 2
+
+    def test_spectral_limit_counts_labels_inclusively(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DRAW_LIMIT", 16)
+        assert run(capsys, "spectral", "--dual", "su2", "--bound", "15", "haar")[0] == 0
+        assert run(capsys, "spectral", "--dual", "su2", "--bound", "16", "haar")[0] == 2
+        assert run(capsys, "spectral", "--dual", "torus", "--labels=-7..8", "haar")[0] == 0
+        assert run(capsys, "spectral", "--dual", "torus", "--labels=-8..8", "haar")[0] == 2
+
+    def test_empty_and_reversed_windows_stay_usage_errors(self, capsys):
+        for argv in (
+            ["check", "--dual", "su2", "--labels", "5..2", "whitenoise"],
+            ["spectral", "--dual", "su2", "--bound", "-3", "haar"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and "empty label window" in err
+
+
+class TestPeakMemory:
+    """DRAW_LIMIT bounds what a simulate call holds: its draw, its products and its output."""
+
+    LIMIT = 1 << 20
+    MAX = "largest accepted"
+
+    @pytest.mark.parametrize(
+        "dual_text, spec, bound, samples",
+        [
+            ("su2", "whitenoise", 3, MAX),
+            ("su2", "whitenoise", 0, MAX),
+            ("su2", "whitenoise", MAX, 2),
+            ("su2", "whitenoise", MAX, None),
+            ("su2", "kolmogorov:heat:0.3", 7, MAX),
+            ("su2", "kolmogorov:heat:0.3", 0, MAX),
+            ("finite:q8", "kolmogorov:haar", None, MAX),
+            ("torus", "kolmogorov:haar", 3, MAX),
+            ("torus", "kolmogorov:haar", MAX, None),
+            ("su2", "ar1:0.5,0", 3, MAX),
+            ("su2", "ma:1,0;1,0", 0, MAX),
+            ("su2", "ma:1,0;1,0;0.5,0", 3, MAX),
+        ],
+    )
+    def test_peak_within_the_limit(self, capsys, monkeypatch, dual_text, spec, bound, samples):
+        monkeypatch.setattr(cli, "DRAW_LIMIT", self.LIMIT)
+        dual = resolve_dual(dual_text)
+        series = spec.startswith(("ar1", "ma"))
+
+        def largest(fits):
+            size, step = 2, 1 << 30
+            while step:
+                if fits(size + step):
+                    size += step
+                step >>= 1
+            return size
+
+        grow_bound = bound == self.MAX
+        if grow_bound:
+            bound = largest(lambda b: cli._peak_size(dual, series, b, samples) <= self.LIMIT)
+        else:
+            samples = largest(lambda n: cli._peak_size(dual, series, bound, n) <= self.LIMIT)
+
+        def argv(bound, samples):
+            out = ["simulate", "--dual", dual_text, "--seed", "4"]
+            out += [] if bound is None else ["--bound", str(bound)]
+            out += [] if samples is None else ["--samples", str(samples)]
+            return [*out, spec]
+
+        # A small call first loads what numpy and the package load lazily.
+        assert run(capsys, *argv(1, None if samples is None else 2))[0] == 0
+        tracemalloc.start()
+        try:
+            code = main(argv(bound, samples))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 16 * self.LIMIT, peak / (16 * self.LIMIT)
+        one_more = argv(bound + 1, samples) if grow_bound else argv(bound, samples + 1)
+        assert run(capsys, *one_more)[0] == 2
 
 
 def call(capsys, argv, fresh=False):

@@ -394,3 +394,43 @@ class TestLabelPresentation:
             su2.labels()
         with pytest.raises(ValueError):
             torus.labels()
+
+
+class TestWindowArrays:
+    """validate_labels, dims and conjugates agree with the per-label methods."""
+
+    @pytest.mark.parametrize(
+        "name, labels",
+        [
+            ("su2", [4, 0, 4, 1]),
+            ("su2", np.array([3, 2], dtype=np.int32)),
+            ("su2", [True, 2]),
+            ("su2", [2**70, 1]),
+            ("torus", [-3, 0, 3, -3]),
+            ("s3", [2, 0, 1, 1]),
+            ("q8", range(5)),
+        ],
+    )
+    def test_same_as_per_label(self, su2, torus, s3, q8, name, labels):
+        dual = {"su2": su2, "torus": torus, "s3": s3, "q8": q8}[name]
+        x = dual.validate_labels(labels)
+        assert x.tolist() == [dual.validate_label(a) for a in labels]
+        assert dual.dims(x).tolist() == [dual.dim(a) for a in labels]
+        assert dual.conjugates(x).tolist() == [dual.conjugate(a) for a in labels]
+
+    @pytest.mark.parametrize(
+        "name, labels, bad",
+        [
+            ("su2", [1, -1, -2], "-1"),
+            ("su2", [1, 1.0], "1.0"),
+            ("su2", [[1], 2], r"\[1\]"),
+            ("su2", ["2"], "'2'"),
+            ("torus", [0, 0.5], "0.5"),
+            ("s3", [0, 3], "3"),
+            ("s3", [0, -1], "-1"),
+        ],
+    )
+    def test_the_first_bad_label_is_named(self, su2, torus, s3, name, labels, bad):
+        dual = {"su2": su2, "torus": torus, "s3": s3}[name]
+        with pytest.raises(LabelDomainError, match=f"label {bad}"):
+            dual.validate_labels(labels)

@@ -1,14 +1,17 @@
 """Matrix second-moment sources against the per-pair path they stand in for.
 
 A stationarity check takes its left side E(Y_a conj(Y_b)) over the whole
-window from a field's ``second_moment_matrix`` or an oracle's ``matrix``
-when one exists, and asks any other callable once per pair.  Wrapping an
-oracle in a plain lambda forces the per-pair path.  Both paths must give
+window, and its right side's column C(k) = E(Y_k conj(Y_neutral)) over
+every k that occurs, from a field's ``second_moment_matrix`` or an
+oracle's ``matrix`` when one exists, and asks any other callable once per
+pair.  Wrapping an oracle in a plain lambda forces the per-pair path.  Both paths must give
 the same matrix and the same report bit for bit: signed zeros, witness
 order and ``max_violation`` included.
 """
 
 import cmath
+import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -17,21 +20,26 @@ from hypothesis import strategies as st
 
 from dualfield import (
     FiniteClassMeasure,
+    StationarityReport,
     SU2AngleMeasure,
     WhiteNoiseField,
+    Witness,
     ar1_field,
     ar1_second_moment_oracle,
     check_hypergroup_stationarity,
     check_stationarity,
     heat_kernel_measure,
     kolmogorov_field,
+    load_character_table,
     ma_field,
     ma_second_moment_oracle,
     su2_dual,
+    torus_dual,
     translate,
     white_noise,
 )
 from dualfield.cli import main
+from dualfield.dual_hypergroup import SU2Dual, pair_matrix
 from dualfield.stationary_fields import (
     KolmogorovField,
     TranslatedField,
@@ -221,7 +229,15 @@ class TestNonFiniteMoments:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_cli_check_exits_2(self, capsys, monkeypatch, value):
+        # A check asks white noise for both sides as arrays, so both forms are patched.
         monkeypatch.setattr(WhiteNoiseField, "second_moment", lambda self, a, b: value)
+        monkeypatch.setattr(
+            WhiteNoiseField,
+            "second_moment_matrix",
+            lambda self, labels, columns=None: np.full(
+                (len(labels), len(labels if columns is None else columns)), value, dtype=complex
+            ),
+        )
         code = main(["check", "--dual", "su2", "--labels", "0..2", "whitenoise"])
         captured = capsys.readouterr()
         assert code == 2
@@ -230,7 +246,7 @@ class TestNonFiniteMoments:
 
 
 class TestScalarCallsPerCheck:
-    """At N = 20 a matrix source leaves only the right side's scalar calls."""
+    """At N = 20 an array source serves both sides: no scalar call is left."""
 
     N = 20
 
@@ -255,7 +271,7 @@ class TestScalarCallsPerCheck:
 
         monkeypatch.setattr(cls, "second_moment", counted)
         run_check(check, SU2, make().second_moment, range(self.N + 1), 1e-12)
-        assert 0 < len(calls) <= 2 * self.N + 1
+        assert calls == []
 
     @pytest.mark.parametrize("check", KINDS)
     @pytest.mark.parametrize(
@@ -270,7 +286,7 @@ class TestScalarCallsPerCheck:
 
         counted.matrix = oracle.matrix
         run_check(check, SU2, counted, range(self.N + 1), 1e-12)
-        assert 0 < len(calls) <= 2 * self.N + 1
+        assert calls == []
 
     @pytest.mark.parametrize("check", KINDS)
     def test_plain_lambda_is_asked_every_pair(self, check):
@@ -283,3 +299,213 @@ class TestScalarCallsPerCheck:
 
         run_check(check, SU2, counted, range(self.N + 1), 1e-12)
         assert len(calls) == (self.N + 1) ** 2 + 2 * self.N + 1
+
+
+# ---------------------------------------------------------------------------
+# Rows x columns: the right side's covariance column in one array call
+# ---------------------------------------------------------------------------
+
+S3 = load_character_table("s3")
+Q8 = load_character_table("q8")
+SOURCES = field_oracles(SU2, S3, Q8)
+
+
+def occurring(dual, labels):
+    """Every irreducible of a (x) conj(b) over the window, from the per-pair tensor."""
+    return sorted(
+        {k for a in labels for b in labels for k in dual.tensor(a, dual.conjugate(b)).support}
+    )
+
+
+class TestRowsByColumns:
+    @pytest.mark.parametrize("name, dual, oracle", SOURCES, ids=[s[0] for s in SOURCES])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_every_source_matches_per_pair_calls(self, name, dual, oracle, data):
+        # Unsorted and repeated labels; the column of the neutral label is the right side's.
+        label = st.sampled_from(dual.labels()) if dual.is_finite else st.integers(0, 30)
+        rows = data.draw(st.lists(label, min_size=1, max_size=8), label="rows")
+        columns = data.draw(
+            st.one_of(st.just([dual.neutral]), st.lists(label, min_size=1, max_size=8)),
+            label="columns",
+        )
+        per_pair = lambda a, b: oracle(a, b)  # noqa: E731  hides any matrix source
+        got = moment_matrix(oracle, rows, columns)
+        assert got.tobytes() == pairwise_matrix(per_pair, rows, columns).tobytes()
+
+    @pytest.mark.parametrize("check", KINDS)
+    @pytest.mark.parametrize(
+        "dual, labels",
+        [(SU2, [5, 0, 3, 3, 1]), (torus_dual(), [-2, 3, 0, 3]), (S3, [2, 0, 1])],
+    )
+    def test_right_side_is_one_array_call_on_the_occurring_column(self, check, dual, labels):
+        oracle = ma_second_moment_oracle((1.0, 0.4, 0.3j))
+        calls = []
+
+        def scalar(a, b):
+            raise AssertionError("scalar call on an array source")
+
+        def matrix(rows, columns=None):
+            calls.append((list(rows), columns))
+            return oracle.matrix(rows, columns)
+
+        scalar.matrix = matrix
+        run_check(check, dual, scalar, labels, 1e-12)
+        assert calls == [(occurring(dual, labels), [dual.neutral]), (labels, None)]
+
+
+class TestSubclassOverridingOnlyTheScalar:
+    class Doubled(WhiteNoiseField):
+        calls = []
+
+        def second_moment(self, a, b):
+            self.calls.append((a, b))
+            return 2 * super().second_moment(a, b)
+
+    def test_does_not_inherit_the_array_form(self):
+        assert self.Doubled.second_moment_matrix is not WhiteNoiseField.second_moment_matrix
+        field = self.Doubled(SU2)
+        labels = [3, 0, 2, 2]
+        want = pairwise_matrix(lambda a, b: field.second_moment(a, b), labels)
+        assert field.second_moment_matrix(labels).tobytes() == want.tobytes()
+        shifted = translate(field, 1)
+        want = pairwise_matrix(lambda a, b: shifted.second_moment(a, b), labels)
+        assert shifted.second_moment_matrix(labels).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("check", KINDS)
+    def test_check_asks_per_pair_and_per_k(self, check):
+        n = 6
+        field = self.Doubled(SU2)
+        self.Doubled.calls.clear()
+        got = run_check(check, SU2, field.second_moment, range(n + 1), 1e-12)
+        assert len(self.Doubled.calls) == (n + 1) ** 2 + 2 * n + 1
+        right = [k for k, b in self.Doubled.calls[: 2 * n + 1]]
+        assert right == list(range(2 * n + 1))
+        want = run_check(check, SU2, lambda a, b: field.second_moment(a, b), range(n + 1), 1e-12)
+        assert report_bits(got) == report_bits(want)
+
+
+class TestLabelsValidatedOnce:
+    @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
+    def test_pair_matrix_validates_the_window_once(self, monkeypatch, kind):
+        calls = []
+        original = SU2Dual.validate_labels
+
+        def counted(self, labels):
+            calls.append(list(labels))
+            return original(self, labels)
+
+        monkeypatch.setattr(SU2Dual, "validate_labels", counted)
+        pair_matrix(SU2, [3, 1, 2], lambda k: 1.0, kind)
+        assert calls == [[3, 1, 2]]
+
+    @pytest.mark.parametrize("check", KINDS)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: white_noise(SU2),
+            lambda: ar1_field(0.5 + 0.6j),
+            lambda: ma_field((1.0, 0.4, 0.3j)),
+        ],
+    )
+    def test_array_sources_validate_no_label_alone(self, monkeypatch, check, make):
+        # Translated fields are left out: their counts come from ``tensor``, once
+        # per distinct label, and ``tensor`` validates its labels.
+        field = make()
+        calls = []
+        original = SU2Dual.validate_label
+
+        def counted(self, label):
+            calls.append(label)
+            return original(self, label)
+
+        monkeypatch.setattr(SU2Dual, "validate_label", counted)
+        run_check(check, SU2, field.second_moment, range(21), 1e-12)
+        assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Witnesses built on first read
+# ---------------------------------------------------------------------------
+
+
+def render_per_pair(report, label_to_str=str):
+    """The JSON rendering from one Witness per flagged pair, as reports rendered before."""
+    return {
+        "condition": report.condition,
+        "pass": report.passed,
+        "max_violation": report.max_violation,
+        "tol": report.tol,
+        "witnesses": [
+            {
+                "pi1": label_to_str(w.pi1),
+                "pi2": label_to_str(w.pi2),
+                "lhs": [w.lhs.real, w.lhs.imag],
+                "rhs": [w.rhs.real, w.rhs.imag],
+                "violation": w.violation,
+            }
+            for w in report.witnesses
+        ],
+    }
+
+
+def dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+class TestLazyWitnesses:
+    def test_no_witness_until_read(self, monkeypatch):
+        built = []
+        original = Witness.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(Witness, "__init__", counted)
+        report = check_hypergroup_stationarity(
+            SU2, white_noise(SU2).second_moment, range(9), kind="normalized"
+        )
+        assert not report.passed
+        report.to_json_dict()
+        assert built == []
+        witnesses = report.witnesses
+        assert len(built) == len(witnesses) > 0
+        assert report.witnesses is witnesses
+        assert len(built) == len(witnesses)
+
+    def test_json_is_the_per_pair_rendering(self):
+        for name, dual, oracle in SOURCES:
+            labels = dual.labels()[::-1] * 2 if dual.is_finite else [5, 0, 3, 3, 1, 0]
+            for check in KINDS:
+                for tol in (1e-12, 0.0):
+                    report = run_check(check, dual, oracle, labels, tol)
+                    got = dumps(report.to_json_dict(dual.label_to_str))
+                    want = dumps(render_per_pair(report, dual.label_to_str))
+                    assert got == want, (name, check, tol)
+
+    def test_equal_to_the_record_of_its_witnesses(self):
+        report = check_hypergroup_stationarity(
+            SU2, ar1_second_moment_oracle(0.5 + 0.6j), [4, 1, 1, 0], kind="normalized"
+        )
+        record = StationarityReport(
+            condition=report.condition,
+            passed=report.passed,
+            max_violation=report.max_violation,
+            tol=report.tol,
+            witnesses=tuple(report.witnesses),
+        )
+        assert report == record and hash(report) == hash(record)
+        assert repr(report) == repr(record)
+        assert repr(report).startswith("StationarityReport(condition='stathyp:normalized', ")
+        assert dumps(record.to_json_dict()) == dumps(report.to_json_dict())
+        assert report != StationarityReport(
+            report.condition, report.passed, report.max_violation, report.tol, ()
+        )
+
+    def test_report_is_frozen(self):
+        report = check_stationarity(SU2, white_noise(SU2).second_moment, range(3))
+        with pytest.raises(FrozenInstanceError):
+            report.passed = False
+        with pytest.raises(FrozenInstanceError):
+            del report.witnesses

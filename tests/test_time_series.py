@@ -305,6 +305,21 @@ class TestSeriesFields:
         est = estimate_covariance(field, 6, 5, 100000, seed=3)
         assert abs(est.mean - field.second_moment(6, 5)) <= 4 * est.stderr
 
+    @pytest.mark.parametrize(
+        "beta, a, b",
+        [
+            ((1.0, 1.0), 0, 0),
+            ((1.0, 1.0), 1, 0),
+            ((1.0, 0.5j, 0.3), 1, 0),
+            ((1.0, 0.5j, 0.3), 0, 0),
+        ],
+    )
+    def test_ma_monte_carlo_below_q_matches_the_steady_oracle(self, beta, a, b):
+        # The q noises before index 0 are drawn, so labels below q are steady too.
+        field = ma_field(beta, seed=2)
+        est = estimate_covariance(field, a, b, 200000, seed=3)
+        assert abs(est.mean - field.second_moment(a, b)) <= 4 * est.stderr
+
     def test_spec_parsing(self):
         spec = parse_series_spec("ar1:0.9,0")
         assert spec.kind == "ar1" and spec.coefficients == (0.9 + 0j,)
