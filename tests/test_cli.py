@@ -462,16 +462,14 @@ class TestSampleCountAndDrawLimit:
         assert out == ""
         assert err.startswith("error:") and f"limit of {cli.DRAW_LIMIT}" in err
 
-    @pytest.mark.parametrize(
-        "spec, series, samples", [("whitenoise", False, 4), ("ar1:0.5,0", True, 2)]
-    )
-    def test_limit_is_inclusive(self, capsys, monkeypatch, spec, series, samples):
+    def test_limit_is_inclusive(self, capsys, monkeypatch):
         # The limit counts what the call holds: its draw and its output rows.
-        peak = cli._peak_size(resolve_dual("su2"), series, 2, samples)
-        monkeypatch.setattr(cli, "DRAW_LIMIT", peak)
         argv = ["simulate", "--dual", "su2", "--bound", "2", "--seed", "1", "--samples"]
-        assert run(capsys, *argv, str(samples), spec)[0] == 0
-        assert run(capsys, *argv, str(samples + 1), spec)[0] == 2
+        for spec, series, samples in (("whitenoise", False, 4), ("ar1:0.5,0", True, 2)):
+            peak = cli._peak_size(resolve_dual("su2"), series, 2, samples)
+            monkeypatch.setattr(cli, "DRAW_LIMIT", peak)
+            assert run(capsys, *argv, str(samples), spec)[0] == 0
+            assert run(capsys, *argv, str(samples + 1), spec)[0] == 2
 
     def test_documented_examples_fit(self):
         su2 = resolve_dual("su2")
