@@ -119,7 +119,16 @@ class FiniteClassMeasure(CentralMeasure):
 
 
 class _AngleMeasure(CentralMeasure):
-    """Atoms plus an optional density in an angle coordinate."""
+    """Atoms plus an optional density in an angle coordinate.
+
+    The density's mass comes from the quadrature rule at construction.
+    The sampling table (the density on a grid of ``_SAMPLING_GRID + 1``
+    angles and its trapezoid CDF) is read only by ``sample_coordinates``,
+    so it is built on the first draw that reaches the density and kept in
+    one assignment: measures used only for transforms, checks or
+    positivity never evaluate the density there, and a shared measure
+    stays safe across threads.
+    """
 
     def __init__(self, atoms, density, description):
         atoms = [(float(t), float(w)) for t, w in atoms]
@@ -130,16 +139,15 @@ class _AngleMeasure(CentralMeasure):
         self.atoms = tuple(atoms)
         self.density = density
         self.description = description
-        self._grid_theta, self._grid_pdf = self._density_grid()
         self._density_mass = self._integrate_density()
-        self._cdf = self._build_cdf()
+        self._sampling_table = None
 
     # subclass hooks -------------------------------------------------
     def _validate_angle(self, theta: float) -> None:
         raise NotImplementedError
 
     def _density_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grid of angles and base-measure density values for sampling."""
+        """Grid of angles and base-measure density values for sampling; the density is set."""
         raise NotImplementedError
 
     def _integrate_density(self) -> float:
@@ -149,17 +157,15 @@ class _AngleMeasure(CentralMeasure):
     def total_mass(self) -> float:
         return sum(w for _, w in self.atoms) + self._density_mass
 
-    def _build_cdf(self):
-        if self.density is None:
-            return None
-        pdf = np.clip(self._grid_pdf, 0.0, None)
-        theta = self._grid_theta
-        cdf = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(theta))]
-        )
-        if cdf[-1] <= 0:
-            return None
-        return cdf / cdf[-1]
+    def _sampling_cdf(self):
+        """The grid angles and the normalized CDF over them (None without mass)."""
+        table = self._sampling_table
+        if table is None:
+            theta, pdf = self._density_grid()
+            pdf = np.clip(pdf, 0.0, None)
+            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(theta))])
+            table = self._sampling_table = (theta, None if cdf[-1] <= 0 else cdf / cdf[-1])
+        return table
 
     def sample_coordinates(self, rng, count):
         mass = self.total_mass()
@@ -174,10 +180,11 @@ class _AngleMeasure(CentralMeasure):
         tail = component == len(self.atoms)
         n_tail = int(tail.sum())
         if n_tail:
-            if self._cdf is None:
+            grid, cdf = self._sampling_cdf()
+            if cdf is None:
                 raise ValueError(f"{self.description}: no density to sample from")
             u = rng.random(n_tail)
-            out[tail] = np.interp(u, self._cdf, self._grid_theta)
+            out[tail] = np.interp(u, cdf, grid)
         return out
 
 
@@ -210,8 +217,6 @@ class SU2AngleMeasure(_AngleMeasure):
 
     def _density_grid(self):
         theta = np.linspace(0.0, math.pi, _SAMPLING_GRID + 1)
-        if self.density is None:
-            return theta, np.zeros_like(theta)
         base = (2.0 / math.pi) * np.sin(theta) ** 2
         return theta, np.asarray(self.density(theta), dtype=float) * base
 
@@ -261,8 +266,6 @@ class TorusAngleMeasure(_AngleMeasure):
 
     def _density_grid(self):
         theta = np.linspace(0.0, 2.0 * math.pi, _SAMPLING_GRID + 1)
-        if self.density is None:
-            return theta, np.zeros_like(theta)
         return theta, np.asarray(self.density(theta), dtype=float) / (2.0 * math.pi)
 
     def _uniform_grid(self):

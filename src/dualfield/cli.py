@@ -17,8 +17,6 @@ import secrets
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .central_measures import CovarianceOnDual, bochner_invert_finite, parse_measure_spec
 from .dual_hypergroup import (
     BUILTIN_GROUPS,
@@ -45,7 +43,6 @@ from .stationary_fields import (
     check_stationarity,
     cramer_decompose_finite,
     estimate_covariance_matrix,
-    jackknife_estimate,
     kolmogorov_field,
     white_noise,
 )
@@ -54,15 +51,22 @@ from .stationary_fields import estimate_covariance  # noqa: F401
 from .time_series import SeriesField, parse_series_spec
 
 ENV_GROUP_PATH = "DUALFIELD_GROUPS"
-# Most complex values' worth of memory one ``simulate`` call may hold at once,
-# the most pairs of a ``check`` window and the most labels of a ``spectral``
-# window.  Larger requests are refused before anything is allocated.
+# Most complex values' worth of memory one ``simulate`` or ``check`` call may
+# hold at once, and the most labels of a ``spectral`` window.  Larger requests
+# are refused before anything is allocated.
 DRAW_LIMIT = 1 << 24
 # What a ``simulate`` call holds at its peak, in complex values: per drawn
 # value the draw, a row of products or the paths, and their temporaries; per
 # output row its moments and its text.
 PEAK_PER_DRAWN = 4
 PEAK_PER_ROW = 32
+# What a ``check`` holds at its peak, in complex values (16 bytes) per label
+# pair.  Measured under tracemalloc on SU(2) windows of 200 and 300 labels over
+# every field spec and the three kinds: 90 bytes a pair for white noise and MA,
+# 133 for Kolmogorov heat (528 normalized), and at most 2160 (135 values) when
+# nearly every pair fails and becomes a printed witness (complex AR(1), atoms
+# under the normalized kind).
+PEAK_PER_PAIR = 160
 
 
 def _fmt(x: float) -> str:
@@ -277,34 +281,29 @@ def cmd_invert(args):
     return 0, "\n".join(lines) + "\n"
 
 
-def _series_covariance_table(field: SeriesField, n_max: int, n_samples: int, seed):
-    oracle = field.spec.oracle()
-    paths = field.spec.simulate_batch(2 * n_max, n_samples, seed)
-    rows = []
-    for h in range(n_max + 1):
-        exact = oracle(n_max + h, n_max)
-        est = jackknife_estimate(paths[:, n_max + h] * np.conj(paths[:, n_max]))
-        rows.append((n_max, h, exact, est.mean, est.stderr))
-    return rows
-
-
-def _draw_size(dual: DualStructure, series: bool, bound: int | None, samples: int | None) -> int:
+def _draw_size(
+    dual: DualStructure, field: FieldSampler, bound: int | None, samples: int | None
+) -> int:
     """Complex values a ``simulate`` call draws, counted without building its window."""
-    if series and samples is not None:
-        columns = 2 * bound + 1  # series paths to index 2 * bound
-    else:
-        columns = _window_count(dual, None, bound)
+    columns = _window_count(dual, None, bound)
+    if isinstance(field, SeriesField):
+        if field.spec.kind == "ma":
+            columns += len(field.spec.coefficients) - 1  # the q noises before the first label
+        elif samples is not None:
+            columns += bound  # AR(1) paths run from index 0 to 2 * bound
     return columns * (samples or 1)
 
 
-def _peak_size(dual: DualStructure, series: bool, bound: int | None, samples: int | None) -> int:
+def _peak_size(
+    dual: DualStructure, field: FieldSampler, bound: int | None, samples: int | None
+) -> int:
     """Complex values' worth of memory a ``simulate`` call holds at its peak, counted ahead."""
     labels = _window_count(dual, None, bound)
     if samples is None:
         rows = labels
     else:
-        rows = bound + 1 if series else labels * labels
-    return PEAK_PER_DRAWN * _draw_size(dual, series, bound, samples) + PEAK_PER_ROW * rows
+        rows = bound + 1 if isinstance(field, SeriesField) else labels * labels
+    return PEAK_PER_DRAWN * _draw_size(dual, field, bound, samples) + PEAK_PER_ROW * rows
 
 
 def cmd_simulate(args):
@@ -318,7 +317,7 @@ def cmd_simulate(args):
     series = isinstance(field, SeriesField)
     if args.bound is None and (series or not isinstance(dual, FiniteGroupDual)):
         raise ValueError("simulate needs --bound for the label window")
-    peak = _peak_size(dual, series, args.bound, args.samples)
+    peak = _peak_size(dual, field, args.bound, args.samples)
     if peak > DRAW_LIMIT:
         raise ValueError(
             f"simulate would hold {peak} complex values' worth of draws, products and output, "
@@ -328,12 +327,16 @@ def cmd_simulate(args):
     header = f"# seed={seed}\n" if generated else ""
 
     if series and args.samples is not None:
-        rows = _series_covariance_table(field, args.bound, args.samples, seed)
+        # Lags h = 0..bound at n = bound: rows bound..2 * bound against column bound.
+        n = args.bound
+        rows = list(range(n, 2 * n + 1))
+        exact = field.second_moment_matrix(rows, [n])[:, 0]
+        est = estimate_covariance_matrix(field, rows, args.samples, seed, columns=[n])
         lines = ["n,h,re_closed,im_closed,re_mc,im_mc,stderr"]
         lines += [
-            f"{n},{h},{_fmt(exact.real)},{_fmt(exact.imag)},"
-            f"{_fmt(mc.real)},{_fmt(mc.imag)},{_fmt(err)}"
-            for n, h, exact, mc, err in rows
+            f"{n},{h},{_fmt(exact[h].real)},{_fmt(exact[h].imag)},"
+            f"{_fmt(est.mean[h, 0].real)},{_fmt(est.mean[h, 0].imag)},{_fmt(est.stderr[h, 0])}"
+            for h in range(n + 1)
         ]
         return 0, header + "\n".join(lines) + "\n"
 
@@ -364,10 +367,11 @@ def cmd_check(args):
     seed = args.seed if args.seed is not None else 0
     field = parse_field_spec(dual, args.spec, seed)
     count = _window_count(dual, args.labels, args.bound)
-    if count * count > DRAW_LIMIT:
+    peak = PEAK_PER_PAIR * count * count
+    if peak > DRAW_LIMIT:
         raise ValueError(
-            f"check window of {count} labels has {count * count} pairs, over the limit of "
-            f"{DRAW_LIMIT}; narrow --labels or --bound"
+            f"check window of {count} labels would hold {peak} complex values' worth of "
+            f"pairs and witnesses, over the limit of {DRAW_LIMIT}; narrow --labels or --bound"
         )
     labels = parse_labels(dual, args.labels, args.bound)
     if args.kind == "statdef":

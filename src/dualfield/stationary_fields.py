@@ -617,30 +617,33 @@ def estimate_covariance_matrix(
     n_samples: int,
     seed,
     n_streams: int = 1,
+    columns: Sequence[Label] | None = None,
 ) -> CovarianceEstimate:
-    """Monte Carlo estimates of E(Y_a conj(Y_b)) over a label window, from one draw per stream.
+    """Monte Carlo estimates of E(Y_a conj(Y_b)) over labels x columns, from one draw per stream.
 
-    Entry (i, j) of ``mean`` and ``stderr`` estimates the pair
-    (labels[i], labels[j]).  Each stream draws the whole window once, with
-    the seeds and counts of :func:`estimate_covariance`, and every product
-    is formed as there, so an entry has the bits of that function whenever
-    the field's values at a label do not depend on the other labels drawn
-    (Kolmogorov fields; white noise draws per label and differs).  Rows
-    are reduced one at a time: memory stays linear in window times samples.
+    ``columns`` defaults to ``labels``.  Entry (i, j) of ``mean`` and
+    ``stderr`` estimates the pair (labels[i], columns[j]).  Each stream
+    draws the rows and columns once, with the seeds and counts of
+    :func:`estimate_covariance`, and every product is formed as there, so
+    an entry has the bits of that function whenever the field's values at
+    a label do not depend on the other labels drawn (Kolmogorov fields;
+    white noise draws per label and differs).  Rows are reduced one at a
+    time: memory stays linear in the labels drawn times samples.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    draws = _stream_draws(field, labels, n_samples, seed, n_streams)
-    n = len(labels)
-    mean = np.empty((n, n), dtype=complex)
-    stderr = np.empty((n, n))
+    columns = labels if columns is None else columns
+    drawn = labels if columns is labels else [*labels, *columns]
+    draws = _stream_draws(field, drawn, n_samples, seed, n_streams)
+    mean = np.empty((len(labels), len(columns)), dtype=complex)
+    stderr = np.empty(mean.shape)
     # One row of products at a time, reduced in place.
-    row = np.empty((n, n_samples), dtype=complex)
+    row = np.empty((len(columns), n_samples), dtype=complex)
     for i, a in enumerate(labels):
         start = 0
         for values in draws:
             stop = start + len(values[a])
-            for j, b in enumerate(labels):
+            for j, b in enumerate(columns):
                 # The expression of estimate_covariance: numpy may reuse the conj
                 # temporary and swap the operands, which sets the product's bits.
                 row[j, start:stop] = values[a] * np.conj(values[b])

@@ -264,8 +264,14 @@ def parse_series_spec(text: str) -> SeriesSpec:
 class SeriesField(FieldSampler):
     """Time-series process viewed as a field on the SU(2) dual labels.
 
-    For MA(q) ``sample_batch`` also draws the q noises before index 0, so
-    every label is in the steady regime of ``second_moment``.
+    AR(1) ``sample_batch`` runs the paths from index 0 to the largest label.
+    MA(q) ``sample_batch`` draws only the noises its labels read: Z_j for j
+    in the sorted union of n - q .. n over the labels, in one
+    ``white_noise_sequence`` call, so labels far apart cost no more than
+    labels side by side, and every label, those below q included, is in
+    the steady regime of ``second_moment``.  A window 0 .. N draws
+    Z_{-q} .. Z_N, the noise of ``simulate_ma_batch`` on the extended path,
+    and keeps its bits.
     """
 
     def __init__(self, spec: SeriesSpec, seed=0, dual: SU2Dual | None = None):
@@ -281,14 +287,19 @@ class SeriesField(FieldSampler):
         ordered = sorted(set(labels))
         for label in ordered:
             self.dual.validate_label(label)
-        n_max = max(ordered)
-        if self.spec.kind == "ma":
-            # Indices -q .. -1 of the extended path hold the noises before index 0.
-            q = len(self.spec.coefficients) - 1
-            paths = simulate_ma_batch(self.spec.coefficients, n_max + q, count, self._rng)[:, q:]
-        else:
-            paths = self.spec.simulate_batch(n_max, count, self._rng)
-        return {label: paths[:, label] for label in ordered}
+        if self.spec.kind == "ar1":
+            paths = self.spec.simulate_batch(max(ordered), count, self._rng)
+            return {label: paths[:, label] for label in ordered}
+        beta = np.asarray(self.spec.coefficients, dtype=complex)
+        n = np.array(ordered, dtype=int)
+        drawn = np.unique(n[:, None] - np.arange(beta.size))
+        noise = white_noise_sequence((count, drawn.size), rng=self._rng)
+        # n - q .. n are consecutive in ``drawn``, so Z_{n-k} sits k columns before Z_n.
+        at = np.searchsorted(drawn, n)
+        values = np.zeros((count, n.size), dtype=complex)
+        for k, coeff in enumerate(beta):
+            values += coeff * noise[:, at - k]
+        return {label: values[:, i] for i, label in enumerate(ordered)}
 
     def second_moment(self, a, b):
         return self._oracle(self.dual.validate_label(a), self.dual.validate_label(b))

@@ -279,6 +279,71 @@ class TestSampling:
         assert abs((coords == 0.5).mean() - 0.25) < 0.02
 
 
+def eager_coordinates(measure, rng, count):
+    """``sample_coordinates`` over a CDF built from the density up front, as at construction."""
+    su2 = isinstance(measure, SU2AngleMeasure)
+    theta = np.linspace(0.0, math.pi if su2 else 2.0 * math.pi, 8192 + 1)
+    base = (2.0 / math.pi) * np.sin(theta) ** 2 if su2 else None
+    pdf = np.asarray(measure.density(theta), dtype=float)
+    pdf = pdf * base if su2 else pdf / (2.0 * math.pi)
+    pdf = np.clip(pdf, 0.0, None)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(theta))])
+    cdf = cdf / cdf[-1]
+    weights = [w for _, w in measure.atoms]
+    probs = np.array(weights + [measure.total_mass() - sum(weights)]) / measure.total_mass()
+    component = rng.choice(len(probs), size=count, p=probs)
+    out = np.empty(count)
+    for i, (t, _) in enumerate(measure.atoms):
+        out[component == i] = t
+    tail = component == len(measure.atoms)
+    out[tail] = np.interp(rng.random(int(tail.sum())), cdf, theta)
+    return out
+
+
+class TestSamplingTable:
+    """The density is evaluated on the sampling grid on the first draw, not at construction."""
+
+    def test_grid_waits_for_the_first_draw(self):
+        sizes = []
+
+        def density(theta):
+            sizes.append(np.size(theta))
+            return 1.0 + 0.5 * np.cos(theta)
+
+        measure = SU2AngleMeasure(atoms=[(1.0, 0.25)], density=density)
+        measure.fourier(3)
+        measure.total_mass()
+        phi = CovarianceOnDual.from_measure(measure, range(5))
+        is_positive_definite(phi, range(3))
+        assert 8193 not in sizes
+        first = measure.sample_coordinates(np.random.default_rng(1), 500)
+        assert sizes.count(8193) == 1
+        again = measure.sample_coordinates(np.random.default_rng(1), 500)
+        assert sizes.count(8193) == 1
+        assert first.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: heat_kernel_measure(0.3),
+            lambda: heat_kernel_measure(0.01),
+            lambda: parse_measure_spec(su2_dual(), "haar"),
+            lambda: parse_measure_spec(TorusAngleMeasure().dual, "haar"),
+            lambda: SU2AngleMeasure(
+                atoms=[(0.3, 0.2), (2.0, 0.3)], density=lambda t: 0.5 * np.ones_like(t)
+            ),
+            lambda: TorusAngleMeasure(
+                atoms=[(4.0, 0.4)], density=lambda t: 0.6 * (1.0 + np.cos(t))
+            ),
+        ],
+    )
+    def test_draws_keep_the_eager_bits(self, make):
+        for seed in range(3):
+            got = make().sample_coordinates(np.random.default_rng(seed), 4000)
+            expected = eager_coordinates(make(), np.random.default_rng(seed), 4000)
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestMeasureSpecs:
     def test_parse_forms(self, su2, s3, torus):
         assert parse_measure_spec(s3, "haar").total_mass() == pytest.approx(1.0)

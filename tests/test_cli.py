@@ -10,6 +10,8 @@ import pytest
 from dualfield import BUILTIN_GROUPS
 from dualfield import cli
 from dualfield.cli import main, resolve_dual
+from dualfield.stationary_fields import jackknife_estimate
+from dualfield.time_series import parse_series_spec
 
 
 def run(capsys, *argv):
@@ -157,6 +159,58 @@ class TestSimulateCommand:
             n, h, re_c, im_c, re_mc, im_mc, stderr = row.split(",")
             gap = abs(complex(float(re_c), float(im_c)) - complex(float(re_mc), float(im_mc)))
             assert gap <= 6 * float(stderr)
+
+    @pytest.mark.parametrize(
+        "bound, spec", [(0, "ma:1,0;1,0"), (1, "ma:1,0;0.5,1;0.3,0"), (2, "ma:1,0;-0.5,0.5;0.25,0")]
+    )
+    def test_ma_table_meets_its_exact_column_below_q(self, capsys, bound, spec):
+        # The MA table is estimated in the steady regime, bound < q included.
+        code, out, _ = run(
+            capsys,
+            "simulate", "--dual", "su2", "--bound", str(bound),
+            "--seed", "1", "--samples", "200000", spec,
+        )
+        assert code == 0
+        for row in out.strip().splitlines()[1:]:
+            n, h, re_c, im_c, re_mc, im_mc, stderr = row.split(",")
+            gap = abs(complex(float(re_c), float(im_c)) - complex(float(re_mc), float(im_mc)))
+            assert gap <= 4 * float(stderr)
+
+    @pytest.mark.parametrize(
+        "bound, lam, samples, seed",
+        [(0, "0.5,0.3", 2000, 1), (3, "0.9,0", 5000, 7), (12, "-0.7,0.2", 3000, 2)],
+    )
+    def test_ar_tables_keep_the_path_bits(self, capsys, bound, lam, samples, seed):
+        """AR(1) tables read paths 0..2 * bound, as the per-lag loop over one path batch did."""
+        code, out, _ = run(
+            capsys,
+            "simulate", "--dual", "su2", "--bound", str(bound),
+            "--seed", str(seed), "--samples", str(samples), f"ar1:{lam}",
+        )
+        assert code == 0
+        spec = parse_series_spec(f"ar1:{lam}")
+        oracle = spec.oracle()
+        paths = spec.simulate_batch(2 * bound, samples, seed)
+        lines = ["n,h,re_closed,im_closed,re_mc,im_mc,stderr"]
+        for h in range(bound + 1):
+            exact = oracle(bound + h, bound)
+            est = jackknife_estimate(paths[:, bound + h] * np.conj(paths[:, bound]))
+            parts = (exact.real, exact.imag, est.mean.real, est.mean.imag, est.stderr)
+            lines.append(f"{bound},{h}," + ",".join(f"{x:.17g}" for x in parts))
+        assert out == "\n".join(lines) + "\n"
+
+    def test_series_table_is_one_window_estimate(self, capsys, monkeypatch):
+        calls = []
+        original = cli.estimate_covariance_matrix
+
+        def spy(field, labels, n_samples, seed, n_streams=1, columns=None):
+            calls.append((list(labels), n_samples, seed, columns))
+            return original(field, labels, n_samples, seed, n_streams, columns)
+
+        monkeypatch.setattr(cli, "estimate_covariance_matrix", spy)
+        argv = ["--dual", "su2", "--bound", "2", "--seed", "3", "--samples", "50", "ma:1,0;1,0"]
+        assert run(capsys, "simulate", *argv)[0] == 0
+        assert calls == [([2, 3, 4], 50, 3, [2])]
 
     def test_field_covariance_table(self, capsys):
         code, out, _ = run(
@@ -465,16 +519,20 @@ class TestSampleCountAndDrawLimit:
     def test_limit_is_inclusive(self, capsys, monkeypatch):
         # The limit counts what the call holds: its draw and its output rows.
         argv = ["simulate", "--dual", "su2", "--bound", "2", "--seed", "1", "--samples"]
-        for spec, series, samples in (("whitenoise", False, 4), ("ar1:0.5,0", True, 2)):
-            peak = cli._peak_size(resolve_dual("su2"), series, 2, samples)
+        su2 = resolve_dual("su2")
+        for spec, samples in (("whitenoise", 4), ("ar1:0.5,0", 2)):
+            peak = cli._peak_size(su2, cli.parse_field_spec(su2, spec, 1), 2, samples)
             monkeypatch.setattr(cli, "DRAW_LIMIT", peak)
             assert run(capsys, *argv, str(samples), spec)[0] == 0
             assert run(capsys, *argv, str(samples + 1), spec)[0] == 2
 
     def test_documented_examples_fit(self):
-        su2 = resolve_dual("su2")
-        assert cli._draw_size(su2, True, 3, 100000) == 700000 <= cli.DRAW_LIMIT
-        assert cli._draw_size(resolve_dual("finite:q8"), False, None, 2000) == 10000
+        su2, q8 = resolve_dual("su2"), resolve_dual("finite:q8")
+        # The MA(1) table reads labels 3..6 and draws the noises 2..6.
+        ma = cli.parse_field_spec(su2, "ma:1,0;1,0", 7)
+        assert cli._draw_size(su2, ma, 3, 100000) == 500000 <= cli.DRAW_LIMIT
+        haar = cli.parse_field_spec(q8, "kolmogorov:haar", 5)
+        assert cli._draw_size(q8, haar, None, 2000) == 10000
 
 
 class TestWindowLimits:
@@ -505,7 +563,8 @@ class TestWindowLimits:
         assert err.startswith("error:") and f"limit of {cli.DRAW_LIMIT}" in err
 
     def test_check_limit_counts_pairs_inclusively(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "DRAW_LIMIT", 16)
+        # The limit counts a check's memory: PEAK_PER_PAIR complex values a pair.
+        monkeypatch.setattr(cli, "DRAW_LIMIT", 16 * cli.PEAK_PER_PAIR)
         assert run(capsys, "check", "--dual", "su2", "--labels", "0..3", "whitenoise")[0] == 0
         assert run(capsys, "check", "--dual", "su2", "--labels", "1,0,2,3", "whitenoise")[0] == 0
         assert run(capsys, "check", "--dual", "su2", "--labels", "0..4", "whitenoise")[0] == 2
@@ -555,7 +614,7 @@ class TestPeakMemory:
     def test_peak_within_the_limit(self, capsys, monkeypatch, dual_text, spec, bound, samples):
         monkeypatch.setattr(cli, "DRAW_LIMIT", self.LIMIT)
         dual = resolve_dual(dual_text)
-        series = spec.startswith(("ar1", "ma"))
+        field = cli.parse_field_spec(dual, spec, 4)
 
         def largest(fits):
             size, step = 2, 1 << 30
@@ -567,9 +626,9 @@ class TestPeakMemory:
 
         grow_bound = bound == self.MAX
         if grow_bound:
-            bound = largest(lambda b: cli._peak_size(dual, series, b, samples) <= self.LIMIT)
+            bound = largest(lambda b: cli._peak_size(dual, field, b, samples) <= self.LIMIT)
         else:
-            samples = largest(lambda n: cli._peak_size(dual, series, bound, n) <= self.LIMIT)
+            samples = largest(lambda n: cli._peak_size(dual, field, bound, n) <= self.LIMIT)
 
         def argv(bound, samples):
             out = ["simulate", "--dual", dual_text, "--seed", "4"]
@@ -590,6 +649,46 @@ class TestPeakMemory:
         assert peak <= 16 * self.LIMIT, peak / (16 * self.LIMIT)
         one_more = argv(bound + 1, samples) if grow_bound else argv(bound, samples + 1)
         assert run(capsys, *one_more)[0] == 2
+
+
+class TestCheckPeakMemory:
+    """DRAW_LIMIT bounds what a check holds: its pair matrices, its report and its text."""
+
+    LIMIT = 1 << 21
+
+    @pytest.mark.parametrize(
+        "dual_text, spec, kind",
+        [
+            ("su2", "whitenoise", "statdef"),
+            ("su2", "ar1:0.99,0.1", "statdef"),
+            ("su2", "ar1:0.5,0.5", "normalized"),
+            ("su2", "ma:1,0;0.5,1;0.3,0", "representation_ring"),
+            ("su2", "kolmogorov:heat:0.3", "normalized"),
+            ("su2", "kolmogorov:atoms:0.5:0.5,2:0.5", "normalized"),
+            ("torus", "kolmogorov:haar", "normalized"),
+        ],
+    )
+    def test_peak_within_the_limit(self, capsys, monkeypatch, dual_text, spec, kind):
+        monkeypatch.setattr(cli, "DRAW_LIMIT", self.LIMIT)
+        count = math.isqrt(self.LIMIT // cli.PEAK_PER_PAIR)
+
+        def argv(count):
+            low = 0 if dual_text == "su2" else -(count // 2)
+            labels = f"--labels={low}..{low + count - 1}"
+            return ["check", "--dual", dual_text, labels, "--kind", kind, spec]
+
+        # A small call first loads what numpy and the package load lazily.
+        assert run(capsys, *argv(2))[0] in (0, 1)
+        tracemalloc.start()
+        try:
+            code = main(argv(count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code in (0, 1)
+        assert peak <= 16 * self.LIMIT, peak / (16 * self.LIMIT)
+        assert run(capsys, *argv(count + 1))[0] == 2
 
 
 def call(capsys, argv, fresh=False):

@@ -189,3 +189,26 @@ def test_window_estimate_refuses_bad_counts_before_drawing(monkeypatch, su2, n_s
     with pytest.raises(ValueError):
         estimate_covariance_matrix(white_noise(su2), [0, 1], n_samples, 0, n_streams=n_streams)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["whitenoise", "kolmogorov", "translated", "ma", "ar1"])
+def test_columns_are_a_block_of_the_window_over_rows_and_columns(name):
+    """Rows x columns draws the union of the labels once, as the square window over it does."""
+    field = _fields()[name][0]
+    rows, columns = [4, 1, 3], [0, 3]
+    union = sorted({*rows, *columns})
+    est = estimate_covariance_matrix(field, rows, 3001, 5, n_streams=2, columns=columns)
+    full = estimate_covariance_matrix(field, union, 3001, 5, n_streams=2)
+    assert est.mean.shape == est.stderr.shape == (3, 2)
+    block = np.ix_([union.index(a) for a in rows], [union.index(b) for b in columns])
+    assert est.mean.tobytes() == full.mean[block].tobytes()
+    assert est.stderr.tobytes() == full.stderr[block].tobytes()
+
+
+def test_columns_default_to_the_labels(su2):
+    field = white_noise(su2, 2)
+    labels = [0, 2, 5]
+    est = estimate_covariance_matrix(field, labels, 500, 8, columns=None)
+    same = estimate_covariance_matrix(field, labels, 500, 8, columns=labels)
+    assert est.mean.tobytes() == same.mean.tobytes()
+    assert est.stderr.tobytes() == same.stderr.tobytes()

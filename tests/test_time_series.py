@@ -320,6 +320,41 @@ class TestSeriesFields:
         est = estimate_covariance(field, a, b, 200000, seed=3)
         assert abs(est.mean - field.second_moment(a, b)) <= 4 * est.stderr
 
+    @pytest.mark.parametrize(
+        "beta, labels",
+        [
+            ((1.0, 1.0), [0, 150]),
+            ((1.0, 0.5j, -0.2 + 0.1j), [150, 0, 1]),
+            ((1.0, 0.5j, -0.2 + 0.1j), [1, 0]),
+            ((0.3 - 0.4j,), [7, 2, 40]),
+            ((1.0, 0.0, 0.0, 0.5), [3, 5, 9, 100]),
+        ],
+    )
+    def test_ma_draws_only_the_noises_its_labels_read(self, beta, labels):
+        field = ma_field(beta, seed=6)
+        got = field.sample_batch(labels, 11)
+        q = len(beta) - 1
+        drawn = sorted({n - k for n in labels for k in range(q + 1)})
+        rng = np.random.default_rng(6)
+        noise = white_noise_sequence((11, len(drawn)), rng=rng)
+        # Nothing else was drawn: the generators stand at the same state.
+        assert field._rng.bit_generator.state == rng.bit_generator.state
+        assert sorted(got) == sorted(labels)
+        for n in labels:
+            expected = np.zeros(11, dtype=complex)
+            for k, coeff in enumerate(np.asarray(beta, dtype=complex)):
+                expected += coeff * noise[:, drawn.index(n - k)]
+            assert got[n].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_max", [0, 1, 4, 60])
+    @pytest.mark.parametrize("beta", [(1.0, 1.0), (1.0, 0.5j, -0.2 + 0.1j), (2.0 - 1j,)])
+    def test_ma_window_keeps_the_extended_path_bits(self, beta, n_max):
+        q = len(beta) - 1
+        got = ma_field(beta, seed=9).sample_batch(range(n_max + 1), 13)
+        paths = simulate_ma_batch(beta, n_max + q, 13, np.random.default_rng(9))[:, q:]
+        for n in range(n_max + 1):
+            assert got[n].tobytes() == paths[:, n].tobytes()
+
     def test_spec_parsing(self):
         spec = parse_series_spec("ar1:0.9,0")
         assert spec.kind == "ar1" and spec.coefficients == (0.9 + 0j,)
