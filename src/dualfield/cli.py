@@ -17,7 +17,12 @@ import secrets
 import sys
 from pathlib import Path
 
-from .central_measures import CovarianceOnDual, bochner_invert_finite, parse_measure_spec
+from .central_measures import (
+    CovarianceOnDual,
+    SU2AngleMeasure,
+    bochner_invert_finite,
+    parse_measure_spec,
+)
 from .dual_hypergroup import (
     BUILTIN_GROUPS,
     DualStructure,
@@ -39,6 +44,7 @@ from .errors import (
 )
 from .stationary_fields import (
     FieldSampler,
+    KolmogorovField,
     check_hypergroup_stationarity,
     check_stationarity,
     cramer_decompose_finite,
@@ -67,6 +73,16 @@ PEAK_PER_ROW = 32
 # nearly every pair fails and becomes a printed witness (complex AR(1), atoms
 # under the normalized kind).
 PEAK_PER_PAIR = 160
+# What a check on SU(2) holds per irreducible its pairs cover (0 .. 2 * the
+# largest label), in complex values, counted apart from the pairs.  Measured
+# under tracemalloc on windows of 4 labels from 10^3 to 2 * 10^5 over every
+# field spec and the three kinds: at most 135 bytes for white noise, 153 for
+# MA, 193 for AR(1) and 263 for a Kolmogorov field on two atoms.  The Fourier
+# transform of an SU(2) angle measure also keeps the characters at its atoms
+# and quadrature nodes, up to 25 bytes a point (6.3 KB an irreducible for the
+# heat measure), counted as PEAK_PER_POINT.
+PEAK_PER_IRREDUCIBLE = 16
+PEAK_PER_POINT = 2
 
 
 def _fmt(x: float) -> str:
@@ -281,16 +297,31 @@ def cmd_invert(args):
     return 0, "\n".join(lines) + "\n"
 
 
+def _top_label(dual: DualStructure, text: str | None, bound: int | None) -> int:
+    """Largest label of the window :func:`parse_labels` would build, found without building it."""
+    if text and ".." in text:
+        return int(text.split("..", maxsplit=1)[1])
+    if text:
+        return max(dual.label_from_str(item) for item in text.split(","))
+    return bound or 0
+
+
+def _covered_size(dual: DualStructure, field: FieldSampler, top: int) -> int:
+    """Complex values' worth of memory a ``check`` holds for the SU(2) irreducibles 0 .. 2 * top."""
+    per_irreducible = PEAK_PER_IRREDUCIBLE
+    if isinstance(field, KolmogorovField) and isinstance(field.measure, SU2AngleMeasure):
+        nodes = dual.quadrature_nodes if field.measure.density is not None else 0
+        per_irreducible += PEAK_PER_POINT * (len(field.measure.atoms) + nodes)
+    return per_irreducible * (2 * max(top, 0) + 1)
+
+
 def _draw_size(
     dual: DualStructure, field: FieldSampler, bound: int | None, samples: int | None
 ) -> int:
     """Complex values a ``simulate`` call draws, counted without building its window."""
     columns = _window_count(dual, None, bound)
-    if isinstance(field, SeriesField):
-        if field.spec.kind == "ma":
-            columns += len(field.spec.coefficients) - 1  # the q noises before the first label
-        elif samples is not None:
-            columns += bound  # AR(1) paths run from index 0 to 2 * bound
+    if isinstance(field, SeriesField) and field.spec.kind == "ma":
+        columns += len(field.spec.coefficients) - 1  # the q noises before the first label
     return columns * (samples or 1)
 
 
@@ -373,6 +404,15 @@ def cmd_check(args):
             f"check window of {count} labels would hold {peak} complex values' worth of "
             f"pairs and witnesses, over the limit of {DRAW_LIMIT}; narrow --labels or --bound"
         )
+    if isinstance(dual, SU2Dual):
+        top = _top_label(dual, args.labels, args.bound)
+        covered = _covered_size(dual, field, top)
+        if covered > DRAW_LIMIT:
+            raise ValueError(
+                f"check pairs up to label {top} cover {2 * top + 1} irreducibles, which would "
+                f"hold {covered} complex values' worth of moments, over the limit of "
+                f"{DRAW_LIMIT}; lower --labels or --bound"
+            )
     labels = parse_labels(dual, args.labels, args.bound)
     if args.kind == "statdef":
         report = check_stationarity(dual, field.second_moment, labels, tol=args.tol)

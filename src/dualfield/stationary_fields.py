@@ -601,13 +601,14 @@ def estimate_covariance(
 ) -> CovarianceEstimate:
     """Monte Carlo estimate of E(Y_pi1 conj(Y_pi2)) with jackknife error.
 
-    The estimate is a deterministic function of the per-stream seeds
-    (seed + stream index) and per-stream counts, so a sharded run gives
-    the same value as the equivalent sequence of single-stream runs.
+    The 1 x 1 case of :func:`estimate_covariance_matrix`, as scalars.  The
+    estimate is a deterministic function of the per-stream seeds (seed +
+    stream index) and per-stream counts, so a sharded run gives the same
+    value as the equivalent sequence of single-stream runs.
     """
-    draws = _stream_draws(field, [pi1, pi2], n_samples, seed, n_streams)
-    return jackknife_estimate(
-        np.concatenate([values[pi1] * np.conj(values[pi2]) for values in draws])
+    est = estimate_covariance_matrix(field, [pi1], n_samples, seed, n_streams, columns=[pi2])
+    return CovarianceEstimate(
+        mean=complex(est.mean[0, 0]), stderr=float(est.stderr[0, 0]), n_samples=n_samples
     )
 
 
@@ -623,12 +624,12 @@ def estimate_covariance_matrix(
 
     ``columns`` defaults to ``labels``.  Entry (i, j) of ``mean`` and
     ``stderr`` estimates the pair (labels[i], columns[j]).  Each stream
-    draws the rows and columns once, with the seeds and counts of
-    :func:`estimate_covariance`, and every product is formed as there, so
-    an entry has the bits of that function whenever the field's values at
-    a label do not depend on the other labels drawn (Kolmogorov fields;
-    white noise draws per label and differs).  Rows are reduced one at a
-    time: memory stays linear in the labels drawn times samples.
+    draws the rows and columns once (stream j reseeded with seed + j), so
+    an entry has the bits of :func:`estimate_covariance` on its pair
+    whenever the field's values at a label do not depend on the other
+    labels drawn (Kolmogorov fields; white noise and the series fields draw
+    per label and differ).  Rows are reduced one at a time: memory stays
+    linear in the labels drawn times samples.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
@@ -644,8 +645,8 @@ def estimate_covariance_matrix(
         for values in draws:
             stop = start + len(values[a])
             for j, b in enumerate(columns):
-                # The expression of estimate_covariance: numpy may reuse the conj
-                # temporary and swap the operands, which sets the product's bits.
+                # numpy may reuse the conj temporary and swap the operands, which
+                # sets the product's bits: the tests pin this expression.
                 row[j, start:stop] = values[a] * np.conj(values[b])
             start = stop
         estimate = _jackknife_in_place(row)

@@ -12,6 +12,7 @@ moments only.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -52,14 +53,38 @@ def simulate_ar1(lam: complex, n_max: int, seed=None, noise=None) -> np.ndarray:
 
 
 def simulate_ar1_batch(lam: complex, n_max: int, n_paths: int, seed) -> np.ndarray:
-    """Independent AR(1) paths as rows of an (n_paths, n_max + 1) array."""
+    """Independent AR(1) paths as rows of an (n_paths, n_max + 1) array.
+
+    The paths are written over their own noise draw by :func:`_ar1_at`,
+    one step of the recursion per index.
+    """
     noise = white_noise_sequence((n_paths, n_max + 1), seed=seed)
-    out = np.empty_like(noise)
-    previous = np.zeros(n_paths, dtype=complex)
-    for n in range(n_max + 1):
-        previous = lam * previous + noise[:, n]
-        out[:, n] = previous
-    return out
+    return _ar1_at(lam, range(n_max + 1), noise)
+
+
+def _ar1_at(lam: complex, labels: Sequence[int], noise: np.ndarray) -> np.ndarray:
+    """Y at ascending ``labels``, written in place over ``noise``, one unit-noise column a label.
+
+    From Y_{-1} = 0, a step of 1 is the recursion lam Y + Z.  A gap g > 1 is
+    lam^g Y + s Z with s^2 = ``ar1_covariance(lam, g - 1, 0)``: given Y_n,
+    Y_{n+g} is lam^g Y_n plus g innovations whose sum is one circular
+    Gaussian of that variance, so the values have the law of the path read
+    at the labels.  Labels 0..N are the path itself.
+    """
+    term = np.empty(noise.shape[0], dtype=noise.dtype)
+    y = np.zeros_like(term)
+    previous = -1
+    for i, n in enumerate(labels):
+        z = noise[:, i]
+        gap = n - previous
+        if gap == 1:
+            np.multiply(lam, y, out=term)
+        else:
+            np.multiply(lam**gap, y, out=term)
+            z *= math.sqrt(ar1_covariance(lam, gap - 1, 0).real)
+        np.add(term, z, out=z)
+        previous, y = n, z
+    return noise
 
 
 def ar1_covariance(lam: complex, n: int, h: int) -> complex:
@@ -264,14 +289,20 @@ def parse_series_spec(text: str) -> SeriesSpec:
 class SeriesField(FieldSampler):
     """Time-series process viewed as a field on the SU(2) dual labels.
 
-    AR(1) ``sample_batch`` runs the paths from index 0 to the largest label.
+    AR(1) ``sample_batch`` draws one unit-noise column per label, in one
+    ``white_noise_sequence`` call, and :func:`_ar1_at` turns it into Y at
+    the ascending labels: a step of 1 is the recursion and a longer gap is
+    bridged in one exact draw, so an estimate at (57, 59) draws 2 columns,
+    not 60.  A window 0 .. N is the path of ``simulate_ar1_batch`` and keeps
+    its bits; other label sets have the law of the path, not its values.
     MA(q) ``sample_batch`` draws only the noises its labels read: Z_j for j
     in the sorted union of n - q .. n over the labels, in one
     ``white_noise_sequence`` call, so labels far apart cost no more than
     labels side by side, and every label, those below q included, is in
     the steady regime of ``second_moment``.  A window 0 .. N draws
     Z_{-q} .. Z_N, the noise of ``simulate_ma_batch`` on the extended path,
-    and keeps its bits.
+    and keeps its bits.  The values are built label-major, so each label's
+    samples are one contiguous row.
     """
 
     def __init__(self, spec: SeriesSpec, seed=0, dual: SU2Dual | None = None):
@@ -288,18 +319,27 @@ class SeriesField(FieldSampler):
         for label in ordered:
             self.dual.validate_label(label)
         if self.spec.kind == "ar1":
-            paths = self.spec.simulate_batch(max(ordered), count, self._rng)
-            return {label: paths[:, label] for label in ordered}
+            noise = white_noise_sequence((count, len(ordered)), rng=self._rng)
+            values = _ar1_at(self.spec.coefficients[0], ordered, noise)
+            return {label: values[:, i] for i, label in enumerate(ordered)}
         beta = np.asarray(self.spec.coefficients, dtype=complex)
         n = np.array(ordered, dtype=int)
         drawn = np.unique(n[:, None] - np.arange(beta.size))
-        noise = white_noise_sequence((count, drawn.size), rng=self._rng)
-        # n - q .. n are consecutive in ``drawn``, so Z_{n-k} sits k columns before Z_n.
+        # Label-major: row j of ``columns`` is the draw of Z_{drawn[j]}.
+        columns = white_noise_sequence((count, drawn.size), rng=self._rng).T
+        # n - q .. n are consecutive in ``drawn``, so Z_{n-k} sits k rows before Z_n.
         at = np.searchsorted(drawn, n)
-        values = np.zeros((count, n.size), dtype=complex)
+        consecutive = n.size > 0 and n[-1] - n[0] == n.size - 1
+        if not consecutive:
+            columns = np.ascontiguousarray(columns)  # rows gathered below are read whole
+        values = np.zeros((n.size, count), dtype=complex)
         for k, coeff in enumerate(beta):
-            values += coeff * noise[:, at - k]
-        return {label: values[:, i] for i, label in enumerate(ordered)}
+            if consecutive:
+                z = columns[at[0] - k : at[0] - k + n.size]
+            else:
+                z = columns.take(at - k, axis=0)
+            values += coeff * z
+        return dict(zip(ordered, values))
 
     def second_moment(self, a, b):
         return self._oracle(self.dual.validate_label(a), self.dual.validate_label(b))

@@ -10,8 +10,8 @@ import pytest
 from dualfield import BUILTIN_GROUPS
 from dualfield import cli
 from dualfield.cli import main, resolve_dual
-from dualfield.stationary_fields import jackknife_estimate
-from dualfield.time_series import parse_series_spec
+from dualfield.stationary_fields import jackknife_estimate, white_noise_sequence
+from dualfield.time_series import ar1_covariance, parse_series_spec
 
 
 def run(capsys, *argv):
@@ -181,7 +181,7 @@ class TestSimulateCommand:
         [(0, "0.5,0.3", 2000, 1), (3, "0.9,0", 5000, 7), (12, "-0.7,0.2", 3000, 2)],
     )
     def test_ar_tables_keep_the_path_bits(self, capsys, bound, lam, samples, seed):
-        """AR(1) tables read paths 0..2 * bound, as the per-lag loop over one path batch did."""
+        """AR(1) tables draw one noise column per label bound..2 * bound and bridge the gap to bound."""
         code, out, _ = run(
             capsys,
             "simulate", "--dual", "su2", "--bound", str(bound),
@@ -190,11 +190,22 @@ class TestSimulateCommand:
         assert code == 0
         spec = parse_series_spec(f"ar1:{lam}")
         oracle = spec.oracle()
-        paths = spec.simulate_batch(2 * bound, samples, seed)
+        z = spec.coefficients[0]
+        noise = white_noise_sequence((samples, bound + 1), seed=seed)
+        # Y_bound from Y_{-1} = 0 in one gap of bound + 1, then one step per label.
+        paths = np.empty_like(noise)
+        y = np.zeros(samples, dtype=complex)
+        for i in range(bound + 1):
+            if i == 0 and bound > 0:
+                gap = bound + 1
+                y = z**gap * y + noise[:, i] * math.sqrt(ar1_covariance(z, gap - 1, 0).real)
+            else:
+                y = z * y + noise[:, i]
+            paths[:, i] = y
         lines = ["n,h,re_closed,im_closed,re_mc,im_mc,stderr"]
         for h in range(bound + 1):
             exact = oracle(bound + h, bound)
-            est = jackknife_estimate(paths[:, bound + h] * np.conj(paths[:, bound]))
+            est = jackknife_estimate(paths[:, h] * np.conj(paths[:, 0]))
             parts = (exact.real, exact.imag, est.mean.real, est.mean.imag, est.stderr)
             lines.append(f"{bound},{h}," + ",".join(f"{x:.17g}" for x in parts))
         assert out == "\n".join(lines) + "\n"
@@ -534,6 +545,12 @@ class TestSampleCountAndDrawLimit:
         haar = cli.parse_field_spec(q8, "kolmogorov:haar", 5)
         assert cli._draw_size(q8, haar, None, 2000) == 10000
 
+    def test_ar_tables_count_one_column_per_label(self):
+        su2 = resolve_dual("su2")
+        ar = cli.parse_field_spec(su2, "ar1:0.5,0", 7)
+        for bound, samples in ((0, 2), (3, 100000), (12, 3000)):
+            assert cli._draw_size(su2, ar, bound, samples) == (bound + 1) * samples
+
 
 class TestWindowLimits:
     """check and spectral windows are counted from their ends and refused before they are built."""
@@ -571,6 +588,37 @@ class TestWindowLimits:
         assert run(capsys, "check", "--dual", "su2", "--labels", "0,1,2,3,4", "whitenoise")[0] == 2
         assert run(capsys, "check", "--dual", "torus", "--bound", "1", "whitenoise")[0] == 0
         assert run(capsys, "check", "--dual", "torus", "--bound", "2", "whitenoise")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--labels", "1000000000..1000000003", "whitenoise"],
+            ["--labels", "3,1000000000", "ar1:0.5,0"],
+            ["--labels", "1000000..1000003", "--kind", "normalized", "whitenoise"],
+            ["--labels", "40000..40003", "kolmogorov:heat:0.3"],
+        ],
+    )
+    def test_high_su2_labels_refused_at_once(self, capsys, monkeypatch, argv):
+        def forbidden(*args):
+            raise AssertionError("the window was built for a refused request")
+
+        monkeypatch.setattr(cli, "parse_labels", forbidden)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "check", "--dual", "su2", *argv)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert "irreducibles" in err and f"limit of {cli.DRAW_LIMIT}" in err
+
+    def test_check_limit_counts_covered_irreducibles_inclusively(self, capsys, monkeypatch):
+        su2 = resolve_dual("su2")
+        for spec in ("whitenoise", "kolmogorov:heat:0.3"):
+            field = cli.parse_field_spec(su2, spec, 0)
+            monkeypatch.setattr(cli, "DRAW_LIMIT", cli._covered_size(su2, field, 1000))
+            assert run(capsys, "check", "--dual", "su2", "--labels", "998..1000", spec)[0] == 0
+            assert run(capsys, "check", "--dual", "su2", "--labels", "1001,999", spec)[0] == 2
+        # A torus check covers one difference a - b per pair and is not counted this way.
+        monkeypatch.setattr(cli, "DRAW_LIMIT", 16 * cli.PEAK_PER_PAIR)
+        assert run(capsys, "check", "--dual", "torus", "--labels=10000..10003", "whitenoise")[0] == 0
 
     def test_spectral_limit_counts_labels_inclusively(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DRAW_LIMIT", 16)
@@ -689,6 +737,48 @@ class TestCheckPeakMemory:
         assert code in (0, 1)
         assert peak <= 16 * self.LIMIT, peak / (16 * self.LIMIT)
         assert run(capsys, *argv(count + 1))[0] == 2
+
+
+class TestCheckCoveredMemory:
+    """DRAW_LIMIT bounds what a check on SU(2) holds for the irreducibles its pairs cover."""
+
+    LIMIT = 1 << 19
+
+    @pytest.mark.parametrize(
+        "spec, kind",
+        [
+            ("whitenoise", "statdef"),
+            ("whitenoise", "normalized"),
+            ("ar1:0.99,0.1", "representation_ring"),
+            ("ma:1,0;0.5,1;0.3,0", "statdef"),
+            ("kolmogorov:heat:0.3", "statdef"),
+            ("kolmogorov:heat:0.3", "normalized"),
+            ("kolmogorov:atoms:0.5:0.5,2:0.5", "representation_ring"),
+        ],
+    )
+    def test_largest_accepted_label_within_the_limit(self, capsys, monkeypatch, spec, kind):
+        monkeypatch.setattr(cli, "DRAW_LIMIT", self.LIMIT)
+        su2 = resolve_dual("su2")
+        field = cli.parse_field_spec(su2, spec, 0)
+        top = (self.LIMIT // cli._covered_size(su2, field, 0) - 1) // 2
+        assert cli._covered_size(su2, field, top) <= self.LIMIT
+        assert cli._covered_size(su2, field, top + 1) > self.LIMIT
+
+        def argv(top):
+            return ["check", "--dual", "su2", f"--labels={top - 3}..{top}", "--kind", kind, spec]
+
+        # A small call first loads what numpy and the package load lazily.
+        assert run(capsys, *argv(4))[0] in (0, 1)
+        tracemalloc.start()
+        try:
+            code = main(argv(top))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code in (0, 1)
+        assert peak <= 16 * self.LIMIT, peak / (16 * self.LIMIT)
+        assert run(capsys, *argv(top + 1))[0] == 2
 
 
 def call(capsys, argv, fresh=False):

@@ -9,6 +9,7 @@ from dualfield import (
     ar1_second_moment_oracle,
     check_stationarity,
     estimate_covariance,
+    estimate_covariance_matrix,
     ma_covariance,
     ma_field,
     ma_second_moment_oracle,
@@ -362,6 +363,112 @@ class TestSeriesFields:
         assert spec.coefficients == (1.0, 1j, 2.0 - 1j)
         with pytest.raises(ValueError):
             parse_series_spec("arma:1,0")
+
+
+def ar1_path_reference(lam, noise):
+    """The recursion Y_n = lam Y_{n-1} + Z_n over every noise column, from Y_{-1} = 0."""
+    out = np.empty_like(noise)
+    previous = np.zeros(noise.shape[0], dtype=complex)
+    for n in range(noise.shape[1]):
+        previous = lam * previous + noise[:, n]
+        out[:, n] = previous
+    return out
+
+
+def ar1_bridge_reference(lam, labels, noise):
+    """Y at ascending labels from one noise column each: a step of 1, or a gap in one draw."""
+    out = np.empty_like(noise)
+    y, previous = np.zeros(noise.shape[0], dtype=complex), -1
+    for i, n in enumerate(labels):
+        gap = n - previous
+        if gap == 1:
+            y = lam * y + noise[:, i]
+        else:
+            y = lam**gap * y + noise[:, i] * math.sqrt(ar1_covariance(lam, gap - 1, 0).real)
+        out[:, i] = y
+        previous = n
+    return out
+
+
+class TestAR1Bridge:
+    """AR(1) fields draw one unit-noise column per label and bridge the gaps exactly."""
+
+    LAMBDAS = [0.9 + 0j, 0.5 + 0.3j, -0.7 + 0.2j, 1j, 1 + 0j, 2 + 0j]
+
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 40])
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_windows_keep_the_path_bits_and_the_generator_state(self, lam, n_max):
+        rng = np.random.default_rng(11)
+        expected = ar1_path_reference(lam, white_noise_sequence((7, n_max + 1), rng=rng))
+        drawn = np.random.default_rng(11)
+        assert simulate_ar1_batch(lam, n_max, 7, drawn).tobytes() == expected.tobytes()
+        assert drawn.bit_generator.state == rng.bit_generator.state
+        field = ar1_field(lam, seed=11)
+        got = field.sample_batch(range(n_max, -1, -1), 7)
+        assert field._rng.bit_generator.state == rng.bit_generator.state
+        for n in range(n_max + 1):
+            assert got[n].tobytes() == expected[:, n].tobytes()
+
+    @pytest.mark.parametrize(
+        "labels", [[2, 7, 8, 30], [30, 8, 2, 7, 2], [0, 3, 4, 5, 12], [57, 59], [9]]
+    )
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_gapped_labels_rebuild_from_one_column_each(self, lam, labels):
+        field = ar1_field(lam, seed=4)
+        got = field.sample_batch(labels, 9)
+        ordered = sorted(set(labels))
+        rng = np.random.default_rng(4)
+        noise = white_noise_sequence((9, len(ordered)), rng=rng)
+        expected = ar1_bridge_reference(field.spec.coefficients[0], ordered, noise)
+        # Nothing else was drawn: the generators stand at the same state.
+        assert field._rng.bit_generator.state == rng.bit_generator.state
+        assert sorted(got) == ordered
+        for i, n in enumerate(ordered):
+            assert got[n].tobytes() == expected[:, i].tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.6 + 0.5j, 1.0, -0.9 + 0.1j])
+    def test_gapped_covariance_meets_the_oracle(self, lam):
+        labels = [2, 7, 8, 30]
+        field = ar1_field(lam, seed=13)
+        est = estimate_covariance_matrix(field, labels, 40000, seed=21)
+        exact = field.second_moment_matrix(labels)
+        assert np.all(np.abs(est.mean - exact) <= 5 * est.stderr)
+
+    def test_an_estimate_draws_one_column_per_label(self, monkeypatch):
+        shapes = []
+        original = time_series.white_noise_sequence
+
+        def spy(shape, seed=None, rng=None):
+            shapes.append(shape)
+            return original(shape, seed=seed, rng=rng)
+
+        monkeypatch.setattr(time_series, "white_noise_sequence", spy)
+        field = ar1_field(0.5 + 0.3j, seed=1)
+        assert estimate_covariance(field, 57, 59, 3133, seed=5).n_samples == 3133
+        assert shapes == [(3133, 2)]
+        shapes.clear()
+        estimate_covariance(field, 7, 2, 3133, seed=5, n_streams=4)
+        assert shapes == [(784, 2), (783, 2), (783, 2), (783, 2)]
+
+
+@pytest.mark.parametrize(
+    "labels", [[0, 150], [3, 4, 5, 6], [9, 2, 3, 40, 41], [1], list(range(20)), []]
+)
+@pytest.mark.parametrize("beta", [(1.0, 1.0), (1.0, 0.5j, -0.2 + 0.1j), (2.0 - 1j,)])
+def test_ma_values_keep_their_bytes(beta, labels):
+    got = ma_field(beta, seed=6).sample_batch(labels, 11)
+    # The sample-major sum over fancy-indexed noise columns, as it was built before.
+    n = np.array(sorted(set(labels)), dtype=int)
+    drawn = np.unique(n[:, None] - np.arange(len(beta)))
+    noise = white_noise_sequence((11, drawn.size), rng=np.random.default_rng(6))
+    at = np.searchsorted(drawn, n)
+    values = np.zeros((11, n.size), dtype=complex)
+    for k, coeff in enumerate(np.asarray(beta, dtype=complex)):
+        values += coeff * noise[:, at - k]
+    assert sorted(got) == n.tolist()
+    for i, label in enumerate(n.tolist()):
+        assert got[label].flags.c_contiguous
+        assert got[label].tobytes() == values[:, i].tobytes()
 
 
 def two_call_noise(shape, seed):
