@@ -15,7 +15,7 @@ Finitely supported complex-coefficient functions on labels are held in
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -36,6 +36,9 @@ ROUNDING_TOL = 1e-6
 ORTHOGONALITY_TOL = 1e-10
 
 BUILTIN_GROUPS = ("c2", "c3", "c5", "s3", "q8")
+
+# Torus labels stay below 2**62 in size, so a sum of two fits in int64.
+_TORUS_LIMIT = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +234,23 @@ class DualStructure:
     def tensor(self, a: Label, b: Label) -> DualVector:
         raise NotImplementedError
 
-    def multiplicities(self, a: np.ndarray, b: np.ndarray) -> Iterator[tuple[Label, np.ndarray]]:
-        """Tensor multiplicities over a grid of validated label pairs.
+    def terms(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tensor decompositions over a grid of validated label pairs, as one term list.
 
-        ``a`` is an integer column and ``b`` an integer row.  Yields
-        ``(k, m)`` in ascending k for every irreducible k that occurs,
-        where ``m[i, j]`` is the multiplicity of k in ``a[i] (x) b[j]``.
-        :func:`pair_grid` sums over these on duals without a
-        :meth:`band` (the torus and the finite groups); duals with one
-        need neither this nor :meth:`components`.
+        ``a`` is an integer column and ``b`` an integer row.  Returns
+        ``(pair, k, m)``: irreducible ``k[t]`` occurs ``m[t] > 0`` times in
+        ``a[i] (x) b[j]`` for ``pair[t] = i * b.size + j``, listed by pair
+        and, within a pair, by ascending k.  :func:`pair_grid` sums these
+        on duals without a :meth:`band` (the torus and the finite groups).
         """
         raise NotImplementedError
-
-    def components(self, a: np.ndarray, b: np.ndarray) -> list[Label]:
-        """The k that :meth:`multiplicities` yields, ascending, without their grids."""
-        return [k for k, _ in self.multiplicities(a, b)]
 
     def band(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
         """Tensor decompositions over a grid as arithmetic progressions, if they are.
 
         Returns ``(first, span, step)`` when every ``a[i] (x) b[j]`` is the
         irreducibles ``first + step t`` for t = 0 .. span, each once, and
-        None otherwise.
+        None otherwise, in which case :func:`pair_grid` reads :meth:`terms`.
         """
         return None
 
@@ -287,10 +285,12 @@ class TorusDual(DualStructure):
     def validate_label(self, label: Label) -> Label:
         if not isinstance(label, (int, np.integer)):
             raise LabelDomainError(f"torus: label {label!r} is not an integer")
+        if not -_TORUS_LIMIT < label < _TORUS_LIMIT:
+            raise LabelDomainError(f"torus: label {label!r} is not below 2**62 in size")
         return int(label)
 
     def _in_range(self, x):
-        return True
+        return -_TORUS_LIMIT < x.min() and x.max() < _TORUS_LIMIT
 
     def dim(self, label: Label) -> int:
         self.validate_label(label)
@@ -308,13 +308,9 @@ class TorusDual(DualStructure):
     def tensor(self, a: Label, b: Label) -> DualVector:
         return DualVector({self.validate_label(a) + self.validate_label(b): 1})
 
-    def multiplicities(self, a, b):
-        total = a + b
-        for k in np.unique(total):
-            yield int(k), (total == k).astype(int)
-
-    def components(self, a, b):
-        return np.unique(a + b).tolist()
+    def terms(self, a, b):
+        k = (a + b).ravel()
+        return np.arange(k.size), k, np.ones_like(k)
 
     def labels(self, bound: int | None = None) -> list[Label]:
         if bound is None:
@@ -513,12 +509,10 @@ class FiniteGroupDual(DualStructure):
         row = self._structure[self.validate_label(a), self.validate_label(b)].tolist()
         return DualVector({k: m for k, m in enumerate(row) if m})
 
-    def multiplicities(self, a, b):
+    def terms(self, a, b):
         grid = self._structure[a, b]
-        for k in range(self.data.num_classes):
-            m = grid[..., k]
-            if m.any():
-                yield k, m
+        i, j, k = np.nonzero(grid)
+        return i * grid.shape[1] + j, k, grid[i, j, k]
 
     def _structure_constants(self) -> np.ndarray:
         """N[a, b, k] from the class sums of chi_a chi_b conj(chi_k), checked integral."""
@@ -666,8 +660,8 @@ def pair_grid(
 
     On duals with a :meth:`~DualStructure.band` (SU(2)) the terms of a
     pair are a progression, so pairs that start at the same irreducible
-    share their running sums; the torus and the finite duals add one
-    masked term per irreducible that occurs.
+    share their running sums.  The torus and the finite duals list every
+    term once (:meth:`~DualStructure.terms`) and add them in one pass.
     """
     if kind not in ("representation_ring", "normalized"):
         raise ValueError(f"unknown convolution kind {kind!r}")
@@ -684,18 +678,13 @@ def pair_grid(
         scale = 1.0 / (dual.dims(x)[:, None] * dual.dims(y)[None, :])
     band = dual.band(a, b)
     if band is None:
-        out = np.zeros((len(x), len(y)), dtype=complex)
-        ks = dual.components(a, b)
-        terms = zip(
-            dual.multiplicities(a, b),
-            values_at(ks).tolist(),
-            dual.dims(np.array(ks)).tolist(),
-            strict=True,
-        )
-        for (_, m), v, d in terms:
-            c = m if scale is None else scale * m * d
-            np.add(out, c * v, out=out, where=m != 0)
-        return out
+        pair, k, m = dual.terms(a, b)
+        ks, at = np.unique(k, return_inverse=True)
+        c = m if scale is None else scale.ravel()[pair] * m * dual.dims(ks)[at]
+        # Terms listed by pair, then ascending k: the per-pair sum from 0j.
+        out = np.zeros(len(x) * len(y), dtype=complex)
+        np.add.at(out, pair, c * values_at(ks.tolist())[at])
+        return out.reshape(len(x), len(y))
     first, span, step = band
     if scale is None:
         out = _band_ring(first.ravel(), span.ravel(), step, values_at)

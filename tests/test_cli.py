@@ -892,3 +892,39 @@ class TestTablesOutsideThePackage:
             assert (code, out) == (3, "")
             assert err.startswith("data error: flip: character rows are not orthonormal")
             assert call(capsys, ["tensor", "--dual", "finite:s3", "sgn", "sgn"])[0] == 0
+
+
+class TestTorusLabelBound:
+    """Torus labels of size 2**62 or more exit 2, never with a traceback or a wrapped sum."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--dual", "torus", "--labels", "0,99999999999999999999",
+             "--kind", "normalized", "kolmogorov:atoms:1:1"],
+            ["check", "--dual", "torus", "--labels", "0,4611686018427387904", "whitenoise"],
+            ["tensor", "--dual", "torus", "99999999999999999999", "1"],
+            ["tensor", "--dual", "torus", "--", "-4611686018427387904", "0"],
+        ],
+    )
+    def test_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: torus: label ")
+        assert "not below 2**62 in size" in err
+
+    def test_labels_below_the_bound_accepted(self, capsys):
+        code, out, _ = run(capsys, "tensor", "--dual", "torus", "4611686018427387903", "0")
+        assert (code, out.splitlines()[1]) == (0, "4611686018427387903,1,1")
+        # Differences up to 2**62 - 2 are labels too.
+        code, out, _ = run(
+            capsys, "check", "--dual", "torus", "--labels=-2305843009213693951,2305843009213693951",
+            "--kind", "normalized", "kolmogorov:atoms:1:1",
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    def test_product_past_the_bound_refused(self, capsys):
+        code, out, err = run(capsys, "tensor", "--dual", "torus", "4611686018427387903", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: torus: label 4611686018427387904 is not below 2**62")

@@ -1,4 +1,6 @@
+import cmath
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from dualfield import (
     FiniteGroupData,
     LabelDomainError,
     SchemaError,
+    check_stationarity,
     conjugate_vector,
     convolve,
     load_character_table,
@@ -434,3 +437,43 @@ class TestWindowArrays:
         dual = {"su2": su2, "torus": torus, "s3": s3}[name]
         with pytest.raises(LabelDomainError, match=f"label {bad}"):
             dual.validate_labels(labels)
+
+
+class TestTorusLabelBound:
+    """Torus labels stay below 2**62 in size, so a + conj(b) never wraps in int64."""
+
+    @staticmethod
+    def mod7(a, b):
+        return cmath.exp(1j * ((a - b) % 7))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 2**62],
+            [0, -(2**62)],
+            [0, 10**20],
+            [0, -(10**20)],
+            np.array([0, 2**62], dtype=np.int64),
+            np.array([0, -(2**63)], dtype=np.int64),
+        ],
+    )
+    def test_refused(self, torus, labels):
+        bad = labels[1]
+        with pytest.raises(LabelDomainError, match="not below 2\\*\\*62"):
+            torus.validate_label(bad)
+        with pytest.raises(LabelDomainError, match=re.escape(f"label {bad!r} ")):
+            torus.validate_labels(labels)
+
+    def test_largest_labels_accepted(self, torus):
+        top = 2**62 - 1
+        assert torus.validate_labels(np.array([top, -top])).tolist() == [top, -top]
+
+    def test_stationary_oracle_passes_at_the_largest_labels(self, torus):
+        report = check_stationarity(torus, self.mod7, [2**62 - 1, 0, -(2**62 - 1)])
+        assert report.passed
+        assert report.max_violation == 0.0
+
+    def test_labels_past_the_bound_give_no_verdict(self, torus):
+        # a - b wrapped in int64 here once, and the check failed a stationary oracle.
+        with pytest.raises(LabelDomainError):
+            check_stationarity(torus, self.mod7, [2**62, -(2**62)])

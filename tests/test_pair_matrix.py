@@ -38,7 +38,7 @@ from dualfield import (
     translate,
     white_noise,
 )
-from dualfield.dual_hypergroup import pair_matrix
+from dualfield.dual_hypergroup import pair_grid, pair_matrix
 
 KINDS = ("statdef", "representation_ring", "normalized")
 
@@ -292,6 +292,22 @@ class TestPairMatrix:
         with pytest.raises(ValueError):
             pair_matrix(su2, [1], lambda k: 1.0, kind="bogus")
 
+    @pytest.mark.parametrize("name, label", [("s3", 2), ("q8", 4)])
+    def test_finite_terms_added_in_ascending_k(self, s3, q8, name, label):
+        # std (x) std and dim2 (x) dim2 split into 3 and 4 irreducibles of
+        # multiplicity 1; these values sum to other bits in descending k.
+        dual = {"s3": s3, "q8": q8}[name]
+        table = [0.1, 0.2, 0.3, 0.4]
+        ks = dual.tensor(label, dual.conjugate(label)).support
+        want = descending = 0j
+        for k in ks:
+            want += table[k]
+        for k in reversed(ks):
+            descending += table[k]
+        assert want != descending
+        got = pair_matrix(dual, [label], lambda k: table[k])
+        assert got.tobytes() == np.array([[want]]).tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Random windows against the per-pair sum
@@ -370,7 +386,7 @@ class TestRandomWindows:
 
 
 # ---------------------------------------------------------------------------
-# Sparse windows: the band kernel of SU(2), the structure-constant loop of the torus
+# Sparse windows: the band kernel of SU(2), the term list of the torus
 # ---------------------------------------------------------------------------
 
 SPARSE_SU2 = st.lists(
@@ -441,7 +457,15 @@ class TestBandKernel:
             assert_matches_reference(SU2, labels, cyclic_value(table), kind)
 
     @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
-    @pytest.mark.parametrize("dual, labels", [(SU2, [0, 3, 1, 5, 2, 9]), (TORUS, [-2, 0, 1, 3])])
+    @pytest.mark.parametrize(
+        "dual, labels",
+        [
+            (SU2, [0, 3, 1, 5, 2, 9]),
+            (TORUS, [-2, 0, 1, 3]),
+            (FINITE["s3"], [2, 0, 1, 2]),
+            (FINITE["q8"], [4, 0, 1, 2, 3]),
+        ],
+    )
     def test_non_finite_values(self, dual, labels, kind):
         # 1 * (inf + 0j) is inf + nan j: the terms are products, not the raw values.
         inf, nan = float("inf"), float("nan")
@@ -468,6 +492,26 @@ class TestBandKernel:
         want = ref_pair_matrix(TORUS, labels, lambda k: complex(k % 7, -1), kind)
         assert got.tobytes() == want.tobytes()
         assert peak <= 2**20
+
+    @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
+    def test_wide_torus_window(self, kind):
+        # Every pair has one term, c value(a_i - a_j) with c = 1 (ring) or 1.0 (normalized).
+        labels = np.random.default_rng(400).integers(-(10**6), 10**6, size=400, endpoint=True)
+        calls = []
+
+        def values_at(ks):
+            calls.append(ks)
+            k = np.array(ks)
+            # Signed zeros on every third difference, so the 0j start shows.
+            return np.where(k % 3 == 0, complex(-0.0, -0.0), np.exp(1e-3j * k) * (k % 5 - 2))
+
+        got = pair_grid(TORUS, labels.tolist(), None, values_at, kind)
+        difference = labels[:, None] - labels[None, :]
+        ks, at = np.unique(difference, return_inverse=True)
+        assert calls == [ks.tolist()]
+        c = np.ones(1, dtype=int if kind == "representation_ring" else float)
+        want = np.zeros(difference.shape, dtype=complex) + c * values_at(ks.tolist())[at]
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
     def test_window_of_200(self, kind):
