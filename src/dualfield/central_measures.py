@@ -84,8 +84,12 @@ class FiniteClassMeasure(CentralMeasure):
                 f"{dual.name}: expected {dual.data.num_classes} class weights, "
                 f"got {weights.shape}"
             )
-        if not np.isfinite(weights).all():
-            raise ValueError(f"{dual.name}: class weights must be finite, got {weights.tolist()}")
+        with np.errstate(invalid="ignore", over="ignore"):
+            if not np.isfinite(weights.sum()):  # also when a weight is not finite
+                raise ValueError(
+                    f"{dual.name}: class weights and their total mass must be finite, "
+                    f"got {weights.tolist()}"
+                )
         if weights.min() < 0:
             raise ValueError(f"{dual.name}: negative class weight {weights.min()}")
         self.dual = dual
@@ -140,6 +144,8 @@ class _AngleMeasure(CentralMeasure):
         self.density = density
         self.description = description
         self._density_mass = self._integrate_density()
+        if not math.isfinite(self.total_mass()):
+            raise ValueError(f"{description}: total mass {self.total_mass()} is not finite")
         self._sampling_table = None
 
     # subclass hooks -------------------------------------------------

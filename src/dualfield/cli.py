@@ -12,7 +12,7 @@ import argparse
 import cmath
 import functools
 import json
-import os
+import math
 import secrets
 import sys
 from pathlib import Path
@@ -24,7 +24,6 @@ from .central_measures import (
     parse_measure_spec,
 )
 from .dual_hypergroup import (
-    BUILTIN_GROUPS,
     DualStructure,
     DualVector,
     FiniteGroupDual,
@@ -36,12 +35,7 @@ from .dual_hypergroup import (
     tensor_decompose,
     torus_dual,
 )
-from .errors import (
-    CapabilityError,
-    DataIntegrityError,
-    LabelDomainError,
-    NotPositiveDefiniteError,
-)
+from .errors import CapabilityError, DataIntegrityError
 from .stationary_fields import (
     FieldSampler,
     KolmogorovField,
@@ -56,7 +50,6 @@ from .stationary_fields import (
 from .stationary_fields import estimate_covariance  # noqa: F401
 from .time_series import SeriesField, parse_series_spec
 
-ENV_GROUP_PATH = "DUALFIELD_GROUPS"
 # Most complex values' worth of memory one ``simulate`` or ``check`` call may
 # hold at once, and the most labels of a ``spectral`` window.  Larger requests
 # are refused before anything is allocated.
@@ -86,7 +79,13 @@ PEAK_PER_POINT = 2
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"result {x} is not finite: the input overflows double precision")
     return f"{x:.17g}"
+
+
+# Non-finite floats raise ValueError here too, so no command prints inf or nan.
+_dumps = functools.partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -100,33 +99,8 @@ def resolve_dual(text: str) -> DualStructure:
     if text == "su2":
         return su2_dual()
     if text.startswith("finite:"):
-        return _load_group(text[len("finite:") :])
+        return load_character_table(text[len("finite:") :])
     raise ValueError(f"unknown dual {text!r}; use torus, su2 or finite:<name-or-path>")
-
-
-@functools.cache
-def _builtin_group(name: str) -> FiniteGroupDual:
-    """Builtin tables are package data: one validated, read-only dual per name."""
-    return load_character_table(name)
-
-
-def _load_group(name: str) -> FiniteGroupDual:
-    """Builtins come from the cache; paths and ``DUALFIELD_GROUPS`` are read on every call."""
-    if name.lower() in BUILTIN_GROUPS:
-        return _builtin_group(name.lower())
-    path = Path(name)
-    if path.exists():
-        return load_character_table(path)
-    for root in os.environ.get(ENV_GROUP_PATH, "").split(os.pathsep):
-        if not root:
-            continue
-        candidate = Path(root) / f"{name}.json"
-        if candidate.exists():
-            return load_character_table(candidate)
-    raise ValueError(
-        f"unknown group {name!r}: not a builtin ({', '.join(BUILTIN_GROUPS)}), "
-        f"not a file, and not found on {ENV_GROUP_PATH}"
-    )
 
 
 def _window_count(dual: DualStructure, text: str | None, bound: int | None) -> int:
@@ -216,7 +190,7 @@ def cmd_tensor(args):
             ],
             "dimcheck": {"product": product, "sum": total, "ok": product == total},
         }
-        return 0, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return 0, _dumps(payload) + "\n"
     lines = ["label,multiplicity,dim"]
     lines += [
         f"{dual.label_to_str(k)},{int(m.real)},{dual.dim(k)}" for k, m in sorted(vec.items())
@@ -239,7 +213,7 @@ def cmd_convolve(args):
                 for k, v in sorted(out.items())
             ],
         }
-        return 0, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return 0, _dumps(payload) + "\n"
     lines = ["label,re,im"]
     lines += [
         f"{dual.label_to_str(k)},{_fmt(v.real)},{_fmt(v.imag)}" for k, v in sorted(out.items())
@@ -266,7 +240,7 @@ def cmd_spectral(args):
                 {"label": dual.label_to_str(k), "re": v.real, "im": v.imag} for k, v in rows
             ],
         }
-        return 0, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return 0, _dumps(payload) + "\n"
     lines = ["label,re,im"]
     lines += [f"{dual.label_to_str(k)},{_fmt(v.real)},{_fmt(v.imag)}" for k, v in rows]
     return 0, "\n".join(lines) + "\n"
@@ -291,7 +265,7 @@ def cmd_invert(args):
                 {"class": c, "weight": float(w)} for c, w in enumerate(measure.class_weights)
             ],
         }
-        return 0, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return 0, _dumps(payload) + "\n"
     lines = ["class,weight"]
     lines += [f"{c},{_fmt(w)}" for c, w in enumerate(measure.class_weights)]
     return 0, "\n".join(lines) + "\n"
@@ -423,7 +397,7 @@ def cmd_check(args):
     payload = report.to_json_dict(label_to_str=dual.label_to_str)
     payload["dual"] = dual.name
     payload["spec"] = args.spec
-    return (0 if report.passed else 1), json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return (0 if report.passed else 1), _dumps(payload) + "\n"
 
 
 def cmd_cramer(args):
@@ -456,7 +430,7 @@ def cmd_cramer(args):
         "reconstruction_residual": scattered.reconstruction_residual(),
         "max_scattering_violation": worst,
     }
-    return 0, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return 0, _dumps(payload) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +514,17 @@ def main(argv=None) -> int:
     except DataIntegrityError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (
-        LabelDomainError, CapabilityError, NotPositiveDefiniteError, ValueError, OverflowError
-    ) as exc:
+    except (ValueError, OverflowError) as exc:  # the package's usage and domain errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+        return code
+    try:
+        Path(args.output).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write --output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

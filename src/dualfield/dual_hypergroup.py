@@ -15,9 +15,11 @@ Finitely supported complex-coefficient functions on labels are held in
 from __future__ import annotations
 
 import json
+import math
+import os
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -103,12 +105,6 @@ class DualVector:
     def approx_eq(self, other: "DualVector", tol: float = 1e-12) -> bool:
         keys = set(self._coeffs) | set(other._coeffs)
         return all(abs(self.coeff(k) - other.coeff(k)) <= tol for k in keys)
-
-    def is_nonnegative_integer(self) -> bool:
-        return all(
-            abs(v.imag) == 0 and v.real == int(v.real) and v.real >= 0
-            for v in self._coeffs.values()
-        )
 
     def is_probability(self, tol: float = 1e-12) -> bool:
         if any(v.real < -tol or abs(v.imag) > tol for v in self._coeffs.values()):
@@ -414,6 +410,10 @@ class FiniteGroupData:
                 )
         if self.inverse_class[0] != 0:
             raise DataIntegrityError(f"{self.name}: identity class must be self-inverse")
+        # |chi(g)| <= chi(1) <= sqrt(order).  The bound refuses non-finite values
+        # and keeps the products below from overflowing.
+        if not (np.abs(chars) <= math.sqrt(self.order) + ORTHOGONALITY_TOL).all():
+            raise DataIntegrityError(f"{self.name}: a character value is not within sqrt(order)")
         if not np.allclose(chars[0], 1.0, atol=ORTHOGONALITY_TOL):
             raise DataIntegrityError(f"{self.name}: first character row is not trivial")
         dims = chars[:, 0]
@@ -421,12 +421,12 @@ class FiniteGroupData:
             np.abs(dims.real - np.round(dims.real)) > ORTHOGONALITY_TOL
         ):
             raise DataIntegrityError(f"{self.name}: identity column is not integral")
-        if np.any(np.round(dims.real).astype(int) < 1):
+        if np.any(np.round(dims.real) < 1):
             raise DataIntegrityError(f"{self.name}: nonpositive irreducible dimension")
-        if int(np.round(dims.real**2).sum()) != self.order:
+        squares = sum(int(d) ** 2 for d in np.round(dims.real).tolist())
+        if squares != self.order:
             raise DataIntegrityError(
-                f"{self.name}: squared dimensions sum to "
-                f"{int(np.round(dims.real ** 2).sum())}, expected {self.order}"
+                f"{self.name}: squared dimensions sum to {squares}, expected {self.order}"
             )
         # Row orthogonality of irreducible characters under the class-weighted
         # inner product, and compatibility of inversion with conjugation.
@@ -808,7 +808,10 @@ def parse_group_document(document: Mapping) -> FiniteGroupData:
     inverse_class = document["inverse_class"]
     characters = document["characters"]
     _require(isinstance(name, str) and name, "name must be a nonempty string")
-    _require(isinstance(order, int) and order >= 1, "order must be a positive integer")
+    _require(
+        isinstance(order, int) and 1 <= order < 2**53,
+        "order must be a positive integer below 2**53, exact in floating point",
+    )
     _require(
         isinstance(class_sizes, list)
         and class_sizes
@@ -846,8 +849,8 @@ def parse_group_document(document: Mapping) -> FiniteGroupData:
     _require(
         isinstance(irrep_names, list)
         and len(irrep_names) == r
-        and len(set(irrep_names)) == r
-        and all(isinstance(n, str) and n for n in irrep_names),
+        and all(isinstance(n, str) and n for n in irrep_names)
+        and len(set(irrep_names)) == r,
         "irrep_names must be distinct nonempty strings, one per irreducible",
     )
     return FiniteGroupData(
@@ -861,24 +864,45 @@ def parse_group_document(document: Mapping) -> FiniteGroupData:
 
 
 def load_character_table(document) -> FiniteGroupDual:
-    """Build a finite-group dual from a document, path or builtin name.
+    """Build a finite-group dual from a document, builtin name or path.
 
-    Accepts a parsed JSON object, a filesystem path to a JSON file, or
-    one of the builtin group names (c2, c3, c5, s3, q8).  All structural
-    invariants of the table are checked before the dual is returned.
+    Accepts a parsed JSON object or a name, resolved in this order: a
+    builtin group (c2, c3, c5, s3, q8, any case), an existing file, then
+    ``<root>/<name>.json`` for each directory on ``DUALFIELD_GROUPS``, read
+    at call time.  A builtin is validated once per process and shared;
+    files are read and validated on every call.  A name found nowhere
+    raises ``ValueError``; a file that cannot be read as JSON raises
+    :class:`SchemaError`.  All structural invariants of the table are
+    checked before the dual is returned.
     """
     if isinstance(document, Mapping):
         return FiniteGroupDual(parse_group_document(document))
-    if isinstance(document, (str, Path)):
-        text = str(document)
-        if text.lower() in BUILTIN_GROUPS:
-            payload = resources.files("dualfield").joinpath("data", f"{text.lower()}.json")
-            return FiniteGroupDual(parse_group_document(json.loads(payload.read_text())))
-        path = Path(text)
-        if not path.exists():
-            raise SchemaError(f"no such group document: {text}")
-        return FiniteGroupDual(parse_group_document(json.loads(path.read_text())))
-    raise SchemaError(f"cannot interpret group document of type {type(document).__name__}")
+    if not isinstance(document, (str, Path)):
+        raise SchemaError(f"cannot interpret group document of type {type(document).__name__}")
+    name = str(document)
+    if name.lower() in BUILTIN_GROUPS:
+        return _builtin_table(name.lower())
+    roots = [root for root in os.environ.get("DUALFIELD_GROUPS", "").split(os.pathsep) if root]
+    for path in [Path(name), *(Path(root) / f"{name}.json" for root in roots)]:
+        # isfile, unlike Path.is_file, answers False for a name too long to stat.
+        if os.path.isfile(path):
+            try:
+                document = json.loads(path.read_text())
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors; deep nesting recurses.
+            except (OSError, ValueError, RecursionError) as exc:
+                raise SchemaError(f"cannot read group document {path}: {exc}") from None
+            return FiniteGroupDual(parse_group_document(document))
+    raise ValueError(
+        f"unknown group {name!r}: not a builtin ({', '.join(BUILTIN_GROUPS)}), "
+        "not a file, and not found on DUALFIELD_GROUPS"
+    )
+
+
+@cache
+def _builtin_table(name: str) -> FiniteGroupDual:
+    """Builtin tables are package data: one validated, read-only dual per name."""
+    payload = resources.files("dualfield").joinpath("data", f"{name}.json")
+    return FiniteGroupDual(parse_group_document(json.loads(payload.read_text())))
 
 
 def torus_dual() -> TorusDual:

@@ -14,7 +14,7 @@ oracles only; Monte Carlo enters solely through
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -127,8 +127,7 @@ class WhiteNoiseField(FieldSampler):
 
     def sample_batch(self, labels, count):
         ordered = sorted(set(labels))
-        for label in ordered:
-            self.dual.validate_label(label)
+        self.dual.validate_labels(ordered)
         values = white_noise_sequence((count, len(ordered)), rng=self._rng)
         return {label: values[:, i] for i, label in enumerate(ordered)}
 
@@ -286,63 +285,73 @@ class Witness:
         return abs(self.lhs - self.rhs)
 
 
+@dataclass(frozen=True, eq=False)
+class _Flagged:
+    """The pairs of a window above ``tol``, as flat indices, with their values."""
+
+    labels: list
+    flagged: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    violation: np.ndarray
+
+    def pairs(self):
+        n = len(self.labels)
+        return [(self.labels[p // n], self.labels[p % n]) for p in self.flagged.tolist()]
+
+
+class _LazyWitnesses:
+    """Data descriptor of ``StationarityReport.witnesses``.
+
+    It stores what the report was built with, a tuple or a :class:`_Flagged`,
+    and on the first read turns flagged arrays into the tuple.
+    """
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            # dataclass reads the class attribute as the default; none, so the field is required.
+            raise AttributeError("witnesses")
+        stored = report.__dict__["_witnesses"]
+        if isinstance(stored, _Flagged):
+            stored = tuple(
+                Witness(a, b, left, right)
+                for (a, b), left, right in zip(
+                    stored.pairs(), stored.lhs.tolist(), stored.rhs.tolist()
+                )
+            )
+            report.__dict__["_witnesses"] = stored
+        return stored
+
+    def __set__(self, report, value):
+        report.__dict__["_witnesses"] = value
+
+
+@dataclass(frozen=True)
 class StationarityReport:
     """Verdict of a check and its witnesses: the pairs above ``tol``.
 
     Witnesses come by descending violation, ties in window order.  A check
     keeps the flagged pairs as arrays: the :class:`Witness` tuple is built
     the first time ``witnesses`` is read, and :meth:`to_json_dict` renders
-    from the arrays.  A report compares, hashes and prints as the frozen
-    record of its five fields.
+    from the arrays while they are unread.
     """
 
-    __slots__ = ("condition", "passed", "max_violation", "tol", "_witnesses", "_flagged")
-
-    def __init__(
-        self,
-        condition: str,
-        passed: bool,
-        max_violation: float,
-        tol: float,
-        witnesses: tuple[Witness, ...],
-    ):
-        fields = (condition, passed, max_violation, tol, witnesses, None)
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _from_flagged(cls, condition, tol, worst, labels, flagged, lhs, rhs, violation):
-        """Report of the flagged flat pair indices of a window, with their values."""
-        report = cls(condition, worst <= tol, worst, tol, None)
-        object.__setattr__(report, "_flagged", (labels, flagged, lhs, rhs, violation))
-        return report
-
-    def _pairs(self):
-        labels, flagged, *_ = self._flagged
-        n = len(labels)
-        return [(labels[p // n], labels[p % n]) for p in flagged.tolist()]
-
-    @property
-    def witnesses(self) -> tuple[Witness, ...]:
-        if self._witnesses is None:
-            _, _, lhs, rhs, _ = self._flagged
-            built = tuple(
-                Witness(a, b, left, right)
-                for (a, b), left, right in zip(self._pairs(), lhs.tolist(), rhs.tolist())
-            )
-            object.__setattr__(self, "_witnesses", built)
-        return self._witnesses
+    condition: str
+    passed: bool
+    max_violation: float
+    tol: float
+    witnesses: tuple[Witness, ...] = _LazyWitnesses()
 
     def to_json_dict(self, label_to_str=str) -> dict:
-        if self._flagged is None:
+        stored = self.__dict__["_witnesses"]
+        if isinstance(stored, _Flagged):
+            parts = (stored.lhs.real, stored.lhs.imag, stored.rhs.real, stored.rhs.imag)
+            rows = zip(stored.pairs(), *(part.tolist() for part in (*parts, stored.violation)))
+        else:
             rows = [
                 ((w.pi1, w.pi2), w.lhs.real, w.lhs.imag, w.rhs.real, w.rhs.imag, w.violation)
-                for w in self._witnesses
+                for w in stored
             ]
-        else:
-            _, _, lhs, rhs, violation = self._flagged
-            parts = (lhs.real, lhs.imag, rhs.real, rhs.imag, violation)
-            rows = zip(self._pairs(), *(part.tolist() for part in parts))
         return {
             "condition": self.condition,
             "pass": self.passed,
@@ -359,28 +368,6 @@ class StationarityReport:
                 for (a, b), lhs_re, lhs_im, rhs_re, rhs_im, v in rows
             ],
         }
-
-    def _fields(self):
-        return (self.condition, self.passed, self.max_violation, self.tol, self.witnesses)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        names = ("condition", "passed", "max_violation", "tol", "witnesses")
-        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._fields()))
-        return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def pairwise_matrix(
@@ -441,16 +428,9 @@ def _check_pairs(condition, dual, oracle, labels, kind, tol):
         violation = np.hypot(diff.real, diff.imag)
     flagged = np.flatnonzero(violation > tol)
     flagged = flagged[np.argsort(-violation[flagged], kind="stable")]
-    return StationarityReport._from_flagged(
-        condition,
-        tol,
-        float(violation.max()),
-        labels,
-        flagged,
-        lhs[flagged],
-        rhs[flagged],
-        violation[flagged],
-    )
+    worst = float(violation.max())
+    witnesses = _Flagged(labels, flagged, lhs[flagged], rhs[flagged], violation[flagged])
+    return StationarityReport(condition, worst <= tol, worst, tol, witnesses)
 
 
 def check_stationarity(

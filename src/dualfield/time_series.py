@@ -41,15 +41,10 @@ def simulate_ar1(lam: complex, n_max: int, seed=None, noise=None) -> np.ndarray:
         raise ValueError("n_max must be nonnegative")
     if noise is None:
         noise = white_noise_sequence(n_max + 1, seed=seed)
-    noise = np.asarray(noise, dtype=complex)
+    noise = np.array(noise, dtype=complex)  # a copy: the path is written over it
     if noise.shape != (n_max + 1,):
         raise ValueError(f"need {n_max + 1} noise draws, got shape {noise.shape}")
-    out = np.empty(n_max + 1, dtype=complex)
-    previous = 0j
-    for n in range(n_max + 1):
-        previous = lam * previous + noise[n]
-        out[n] = previous
-    return out
+    return _ar1_at(lam, range(n_max + 1), noise[None, :])[0]
 
 
 def simulate_ar1_batch(lam: complex, n_max: int, n_paths: int, seed) -> np.ndarray:
@@ -178,23 +173,19 @@ def simulate_ma(beta: Sequence[complex], n_max: int, seed=None, noise=None) -> n
         raise ValueError("n_max must be nonnegative")
     if noise is None:
         noise = white_noise_sequence(n_max + 1, seed=seed)
-    noise = np.asarray(noise, dtype=complex)
-    out = np.zeros(n_max + 1, dtype=complex)
-    for k, coeff in enumerate(beta):
-        if k > n_max:
-            break
-        out[k:] += coeff * noise[: n_max + 1 - k]
-    return out
+    return _ma(beta, n_max, np.asarray(noise, dtype=complex))
 
 
 def simulate_ma_batch(beta: Sequence[complex], n_max: int, n_paths: int, seed) -> np.ndarray:
-    beta = np.asarray(beta, dtype=complex)
     noise = white_noise_sequence((n_paths, n_max + 1), seed=seed)
-    out = np.zeros_like(noise)
-    for k, coeff in enumerate(beta):
-        if k > n_max:
-            break
-        out[:, k:] += coeff * noise[:, : n_max + 1 - k]
+    return _ma(np.asarray(beta, dtype=complex), n_max, noise)
+
+
+def _ma(beta: np.ndarray, n_max: int, noise: np.ndarray) -> np.ndarray:
+    """Y_0..Y_{n_max} from Z_0..Z_{n_max} along the last axis of ``noise``, Z_j = 0 for j < 0."""
+    out = np.zeros(noise.shape[:-1] + (n_max + 1,), dtype=complex)
+    for k, coeff in enumerate(beta[: n_max + 1]):
+        out[..., k:] += coeff * noise[..., : n_max + 1 - k]
     return out
 
 
@@ -244,7 +235,6 @@ class SeriesSpec:
 
     kind: str  # "ar1" | "ma"
     coefficients: tuple[complex, ...]
-    noise: str = "whitenoise(circular gaussian)"
 
     def __post_init__(self):
         if self.kind not in ("ar1", "ma"):
@@ -260,11 +250,6 @@ class SeriesSpec:
         if self.kind == "ar1":
             return ar1_second_moment_oracle(self.coefficients[0])
         return ma_second_moment_oracle(self.coefficients)
-
-    def simulate_batch(self, n_max: int, n_paths: int, seed) -> np.ndarray:
-        if self.kind == "ar1":
-            return simulate_ar1_batch(self.coefficients[0], n_max, n_paths, seed)
-        return simulate_ma_batch(self.coefficients, n_max, n_paths, seed)
 
     def describe(self) -> str:
         coeffs = ",".join(f"{c.real:g}{c.imag:+g}j" for c in self.coefficients)
@@ -316,8 +301,7 @@ class SeriesField(FieldSampler):
 
     def sample_batch(self, labels, count):
         ordered = sorted(set(labels))
-        for label in ordered:
-            self.dual.validate_label(label)
+        self.dual.validate_labels(ordered)
         if self.spec.kind == "ar1":
             noise = white_noise_sequence((count, len(ordered)), rng=self._rng)
             values = _ar1_at(self.spec.coefficients[0], ordered, noise)

@@ -374,6 +374,15 @@ class TestMeasureSpecs:
         with pytest.raises(ValueError):
             SU2AngleMeasure(atoms=[(4.0, 1.0)])
 
+    def test_total_mass_must_be_finite(self, s3):
+        with pytest.raises(ValueError, match="total mass"):
+            FiniteClassMeasure(s3, [1e308, 1e308, 0.0])
+        with pytest.raises(ValueError, match="total mass inf is not finite"):
+            SU2AngleMeasure(atoms=[(1.0, 1e308), (2.0, 1e308)])
+        with pytest.raises(ValueError, match="total mass inf is not finite"):
+            TorusAngleMeasure(atoms=[(1.0, 1e308), (2.0, 1e308)])
+        assert FiniteClassMeasure(s3, [1e308, 0.0, 0.0]).total_mass() == 1e308
+
 
 def test_weyl_quadrature_orthonormality():
     theta, weights = weyl_quadrature(256)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dualfield import BUILTIN_GROUPS
-from dualfield import cli
+from dualfield import cli, dual_hypergroup
 from dualfield.cli import main, resolve_dual
 from dualfield.stationary_fields import jackknife_estimate, white_noise_sequence
 from dualfield.time_series import ar1_covariance, parse_series_spec
@@ -495,6 +495,47 @@ class TestNonFiniteNumbersRefused:
         assert json.loads(out)["tol"] == 0.0
 
 
+class TestNonFiniteResults:
+    """Finite inputs whose results overflow double precision exit 2, never print inf or nan."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectral", "--dual", "finite:s3", "classes:1e308,1e308,1e308"],
+            ["spectral", "--dual", "su2", "--bound", "2", "atoms:1:1e308,2:1e308"],
+            ["spectral", "--dual", "torus", "--bound", "2", "atoms:1:1e308,2:1e308"],
+            ["spectral", "--dual", "su2", "--labels", "0..2", "atoms:0:1e308"],
+            ["spectral", "--dual", "su2", "--format", "json", "--labels", "1", "atoms:0:1e308"],
+            ["simulate", "--dual", "su2", "--bound", "3", "--seed", "1", "--samples", "5",
+             "ma:1e308,0;1e308,0"],
+            ["simulate", "--dual", "su2", "--bound", "3", "--seed", "1", "--samples", "5", "ar1:1e200,0"],
+            ["simulate", "--dual", "su2", "--bound", "3", "--seed", "1", "ar1:1e200,0"],
+            ["convolve", "--dual", "su2", "1:1e308", "1:1e308"],
+        ],
+    )
+    def test_usage_error(self, capsys, argv):
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_large_finite_results_still_print(self, capsys):
+        code, out, _ = run(capsys, "spectral", "--dual", "finite:s3", "classes:1e307,0,0")
+        assert code == 0
+        assert [float(line.split(",")[1]) for line in out.splitlines()[1:]] == [1e307, 1e307, 2e307]
+
+
+class TestOutputFile:
+    """An --output file that cannot be written is a usage error, with nothing on stdout."""
+
+    def test_missing_directory_and_directory_target(self, capsys, tmp_path):
+        for target in (tmp_path / "missing" / "x.csv", tmp_path):
+            code, out, err = run(capsys, "tensor", "--dual", "su2", "1", "1", "--output", str(target))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: cannot write --output: ") and str(target) in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSampleCountAndDrawLimit:
     def test_zero_samples_is_usage_error(self, capsys):
         code, out, err = run(
@@ -785,7 +826,7 @@ def call(capsys, argv, fresh=False):
     """One ``main`` call; ``fresh`` first drops what a new process would not have."""
     if fresh:
         cli.build_parser.cache_clear()
-        cli._builtin_group.cache_clear()
+        dual_hypergroup._builtin_table.cache_clear()
     try:
         code = main(list(argv))
     except SystemExit as exc:  # argparse rejects bad arguments this way

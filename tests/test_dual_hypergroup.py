@@ -19,6 +19,7 @@ from dualfield import (
     multiplicity_by_integration,
     tensor_decompose,
 )
+from dualfield.dual_hypergroup import _builtin_table
 
 # Independent oracles, kept deliberately separate from the library paths:
 # a sin-quotient quadrature for SU(2) and a literal class sum over a table
@@ -312,6 +313,7 @@ class TestLoadCharacterTable:
             original(data)
 
         monkeypatch.setattr(FiniteGroupData, "validate", counted)
+        _builtin_table.cache_clear()
         load_character_table(self._s3_document())
         load_character_table("q8")
         assert calls == ["s3copy", "q8"]
@@ -331,8 +333,9 @@ class TestLoadCharacterTable:
             load_character_table(doc)
 
     def test_missing_path(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="unknown group 'no/such/file.json'") as caught:
             load_character_table("no/such/file.json")
+        assert not isinstance(caught.value, DataIntegrityError)
 
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "g.json"

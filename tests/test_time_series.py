@@ -126,6 +126,12 @@ class TestAR1Simulation:
         assert batch.shape == (4, 10)
         assert np.array_equal(batch, simulate_ar1_batch(0.7, 9, 4, seed=5))
 
+    @pytest.mark.parametrize("lam", [0.7, -1.0, 0.3 + 0.4j, -0.7 + 0.6j, 1j, 2.0 - 1.5j])
+    def test_single_path_is_a_batch_of_one(self, lam):
+        for n in (0, 1, 17, 300):
+            path = simulate_ar1(lam, n, seed=n + 11)
+            assert path.tobytes() == simulate_ar1_batch(lam, n, 1, n + 11)[0].tobytes()
+
     def test_batch_rows_match_single_path_law(self):
         # Second moments of the batch agree with the closed form.
         paths = simulate_ar1_batch(0.9, 6, 200000, seed=2)
@@ -192,6 +198,12 @@ class TestMASimulation:
     def test_empty_coefficients_rejected(self):
         with pytest.raises(ValueError):
             simulate_ma([], 4)
+
+    @pytest.mark.parametrize("beta", [[1], [1, 0.5], [0.3 + 1j, -0.2, 0.7j, 1.5]])
+    def test_single_path_is_a_batch_of_one(self, beta):
+        for n in (0, 1, 2, 40):
+            path = simulate_ma(beta, n, seed=n + 5)
+            assert path.tobytes() == simulate_ma_batch(beta, n, 1, n + 5)[0].tobytes()
 
 
 class TestSeriesStationarityVerdicts:
