@@ -22,6 +22,7 @@ from .dual_hypergroup import (
     Label,
     SU2Dual,
     TorusDual,
+    _su2_characters_into,
     pair_matrix,
     su2_character_rows,
     su2_character_values,
@@ -70,6 +71,10 @@ class CentralMeasure:
     def character_at(self, label: Label, coordinates: np.ndarray) -> np.ndarray:
         """Character of ``label`` evaluated at sampled class coordinates."""
         return self.characters_at([label], coordinates)[0]
+
+    def _complex_characters(self, labels: Sequence[Label], coordinates: np.ndarray) -> np.ndarray:
+        """:meth:`characters_at` as a complex array, for ascending distinct ``labels``."""
+        return np.asarray(self.characters_at(labels, coordinates), dtype=complex)
 
 
 class FiniteClassMeasure(CentralMeasure):
@@ -252,6 +257,14 @@ class SU2AngleMeasure(_AngleMeasure):
         rows = [self.dual.validate_label(label) for label in labels]
         return su2_character_values(max(rows, default=0), coordinates)[rows]
 
+    def _complex_characters(self, labels, coordinates):
+        # The recurrence writes each row straight into the real parts of the
+        # output: no float table, gathered copy or conversion pass.
+        rows = [self.dual.validate_label(label) for label in labels]
+        values = np.zeros((len(rows), len(coordinates)), dtype=complex)
+        _su2_characters_into(values.real, rows, coordinates)
+        return values
+
 
 class TorusAngleMeasure(_AngleMeasure):
     """Central measure on the torus, angle on [0, 2 pi), density against d(theta)/2 pi."""
@@ -286,7 +299,7 @@ class TorusAngleMeasure(_AngleMeasure):
         return float(np.mean(self._grid_density))
 
     def fourier(self, label: Label) -> complex:
-        n = self.dual.validate_label(label)
+        n = self.dual.validate_derived_label(label)
         total = 0j
         for theta, weight in self.atoms:
             total += weight * np.exp(1j * n * theta)

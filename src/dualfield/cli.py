@@ -17,6 +17,8 @@ import secrets
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .central_measures import (
     CovarianceOnDual,
     SU2AngleMeasure,
@@ -86,6 +88,21 @@ def _fmt(x: float) -> str:
 
 # Non-finite floats raise ValueError here too, so no command prints inf or nan.
 _dumps = functools.partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite_rows(dual: DualStructure, rows, what: str) -> None:
+    """Refuse ``rows`` of (label, complex value) at the first part that is not finite.
+
+    Checked before either format renders, so CSV and JSON name the same
+    label and column.
+    """
+    for label, value in rows:
+        for column, x in (("re", value.real), ("im", value.imag)):
+            if not math.isfinite(x):
+                raise ValueError(
+                    f"{what} at label {dual.label_to_str(label)}: {column} is {x}, "
+                    "not finite: the input overflows double precision"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +221,7 @@ def cmd_convolve(args):
     m1 = parse_vector_spec(dual, args.m1)
     m2 = parse_vector_spec(dual, args.m2)
     out = convolve(dual, m1, m2, args.kind)
+    _finite_rows(dual, out.items(), "convolution")
     if args.format == "json":
         payload = {
             "dual": dual.name,
@@ -231,7 +249,10 @@ def cmd_spectral(args):
             "narrow --labels or --bound"
         )
     labels = parse_labels(dual, args.labels, args.bound)
-    rows = [(label, measure.fourier(label)) for label in labels]
+    # An overflowing transform is refused below, naming its label, so it needs no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [(label, measure.fourier(label)) for label in labels]
+    _finite_rows(dual, rows, "transform")
     if args.format == "json":
         payload = {
             "dual": dual.name,

@@ -39,8 +39,11 @@ ORTHOGONALITY_TOL = 1e-10
 
 BUILTIN_GROUPS = ("c2", "c3", "c5", "s3", "q8")
 
-# Torus labels stay below 2**62 in size, so a sum of two fits in int64.
+# Torus labels given as input stay below 2**62 in size, so a sum of two fits in
+# int64; labels the code derives from them (a + b, a - b, -a) need only fit in
+# int64, with their conjugates.
 _TORUS_LIMIT = 1 << 62
+_INT64_LIMIT = 1 << 63
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,34 @@ def su2_character_values(n_max: int, theta) -> np.ndarray:
     return out
 
 
+def _su2_characters_into(out: np.ndarray, labels: list[int], theta) -> None:
+    """Write chi_{labels[i]} at ``theta`` over row i of the float array ``out``.
+
+    ``labels`` are ascending, distinct and validated.  The recurrence of
+    :func:`su2_character_values` runs in place, with the bits of
+    ``su2_character_values(labels[-1], theta)[labels]``: each asked-for
+    character is computed in its own row of ``out`` (which may be the real
+    view of a complex array), and the characters between them pass through
+    three spare rows.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    at = {n: i for i, n in enumerate(labels)}
+    top = labels[-1] if labels else -1
+    spare = np.empty((3, theta.size)) if len(labels) <= top else None
+    older = newer = x = None
+    for n in range(top + 1):
+        row = out[at[n]] if n in at else spare[n % 3]
+        if n == 0:
+            row[...] = 1.0
+        elif n == 1:
+            x = 2.0 * np.cos(theta)
+            row[...] = x
+        else:
+            np.multiply(x, newer, out=row)
+            np.subtract(row, older, out=row)
+        older, newer = newer, row
+
+
 def su2_character_rows(table: np.ndarray, n: int, theta: np.ndarray) -> np.ndarray:
     """``table`` if it holds row n, else the characters at ``theta`` in a new table.
 
@@ -201,13 +232,29 @@ class DualStructure:
         Anything but a nonempty flat integer array inside the dual's range
         is validated label by label, so errors match :meth:`validate_label`.
         """
+        return self._validated(labels, self._in_range, self.validate_label)
+
+    def validate_derived_label(self, label: Label) -> Label:
+        """A label derived from validated ones: a tensor component or a conjugate.
+
+        Moment oracles, dimensions and transforms take these.  Only the torus
+        bounds them more loosely than :meth:`validate_label` bounds input.
+        """
+        return self.validate_label(label)
+
+    def validate_derived_labels(self, labels: Iterable[Label]) -> np.ndarray:
+        """:meth:`validate_labels` for derived labels (see :meth:`validate_derived_label`)."""
+        return self.validate_labels(labels)
+
+    @staticmethod
+    def _validated(labels, in_range, validate_one) -> np.ndarray:
         try:
             x = np.asarray(labels)
         except ValueError:  # ragged input
             x = None
-        if x is not None and x.ndim == 1 and x.size and x.dtype.kind == "i" and self._in_range(x):
+        if x is not None and x.ndim == 1 and x.size and x.dtype.kind == "i" and in_range(x):
             return x.astype(int, copy=False)
-        return np.array([self.validate_label(label) for label in labels])
+        return np.array([validate_one(label) for label in labels])
 
     def _in_range(self, x: np.ndarray) -> bool:
         """Whether every entry of an integer array is a label; False validates one by one."""
@@ -288,21 +335,36 @@ class TorusDual(DualStructure):
     def _in_range(self, x):
         return -_TORUS_LIMIT < x.min() and x.max() < _TORUS_LIMIT
 
+    def validate_derived_label(self, label: Label) -> Label:
+        if not isinstance(label, (int, np.integer)):
+            raise LabelDomainError(f"torus: label {label!r} is not an integer")
+        if not -_INT64_LIMIT < label < _INT64_LIMIT:
+            raise LabelDomainError(f"torus: label {label!r} does not fit in int64")
+        return int(label)
+
+    def validate_derived_labels(self, labels):
+        return self._validated(labels, self._fits, self.validate_derived_label)
+
+    def _fits(self, x):
+        return -_INT64_LIMIT < x.min()
+
     def dim(self, label: Label) -> int:
-        self.validate_label(label)
+        self.validate_derived_label(label)
         return 1
 
     def dims(self, x):
         return np.ones_like(x)
 
     def conjugate(self, label: Label) -> Label:
-        return -self.validate_label(label)
+        return -self.validate_derived_label(label)
 
     def conjugates(self, x):
         return -x
 
     def tensor(self, a: Label, b: Label) -> DualVector:
-        return DualVector({self.validate_label(a) + self.validate_label(b): 1})
+        # A sum of Python integers, so it is checked, never wrapped.
+        total = self.validate_derived_label(a) + self.validate_derived_label(b)
+        return DualVector({self.validate_derived_label(total): 1})
 
     def terms(self, a, b):
         k = (a + b).ravel()

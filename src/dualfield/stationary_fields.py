@@ -34,20 +34,51 @@ from .errors import CapabilityError
 SecondMomentOracle = Callable[[Label, Label], complex]
 
 
+# Normals per ``rng.normal`` call when a draw is written into its output:
+# the float temporary stays cache-sized whatever the draw's size.
+_DRAW_CHUNK = 1 << 14
+
+
 def white_noise_sequence(shape, seed=None, rng=None) -> np.ndarray:
     """Circular complex Gaussian draws with unit second moment.
 
-    ``shape`` is a count or a tuple.  The real parts are drawn first as one
-    block of that shape and the imaginary parts after them.
+    ``shape`` is a count or a tuple.  The real parts are drawn first, in C
+    order of that shape, and the imaginary parts after them: the stream of
+    ``rng.normal(size=(2, *shape), scale=sqrt(0.5))``.  Each part is written
+    straight into the one complex output, a cache-sized chunk at a time, so
+    a draw holds 16 bytes a value plus one chunk.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    shape = shape if isinstance(shape, tuple) else (shape,)
-    block = rng.normal(size=(2, *shape), scale=np.sqrt(0.5))
-    # 1j * imaginary + real, added in place: the bits of real + 1j * imaginary.
-    values = 1j * block[1]
-    values += block[0]
+    values = np.empty(shape, dtype=complex)
+    _fill_white_noise(values.reshape(-1), rng)
     return values
+
+
+def _white_noise_rows(rows: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Label-major noise: the bits of ``white_noise_sequence((count, rows), rng=rng).T``, C-contiguous.
+
+    Row j holds the ``count`` draws of noise index j, so a label's samples
+    are one contiguous row.
+    """
+    values = np.empty((rows, count), dtype=complex)
+    _fill_white_noise(values.T, rng)
+    return values
+
+
+def _fill_white_noise(view: np.ndarray, rng: np.random.Generator) -> None:
+    """Write the stream of :func:`white_noise_sequence` over ``view``, in its C order.
+
+    ``view`` is a complex array of at least one axis, or a view of one with
+    any strides; its real parts are drawn first, then its imaginary parts,
+    in blocks of leading-axis rows of about ``_DRAW_CHUNK`` values.
+    """
+    width = max(1, math.prod(view.shape[1:]))
+    step = max(1, _DRAW_CHUNK // width)
+    for part in (view.real, view.imag):
+        for start in range(0, len(part), step):
+            block = part[start : start + step]
+            block[...] = rng.normal(size=block.shape, scale=np.sqrt(0.5))
 
 
 def evaluate_at_vector(sample: Mapping[Label, object], vec: DualVector):
@@ -103,9 +134,13 @@ class FieldSampler:
         return pairwise_matrix(self.second_moment, labels, columns)
 
     def _window(self, labels, columns):
-        """Validated row and column label arrays of a moment matrix."""
-        rows = self.dual.validate_labels(labels)
-        return rows, rows if columns is None else self.dual.validate_labels(columns)
+        """Validated row and column label arrays of a moment matrix.
+
+        A check asks for moments at the labels its pairs derive, so these are
+        validated as derived labels.
+        """
+        rows = self.dual.validate_derived_labels(labels)
+        return rows, rows if columns is None else self.dual.validate_derived_labels(columns)
 
     def reseeded(self, seed) -> "FieldSampler":
         raise NotImplementedError
@@ -128,12 +163,11 @@ class WhiteNoiseField(FieldSampler):
     def sample_batch(self, labels, count):
         ordered = sorted(set(labels))
         self.dual.validate_labels(ordered)
-        values = white_noise_sequence((count, len(ordered)), rng=self._rng)
-        return {label: values[:, i] for i, label in enumerate(ordered)}
+        return dict(zip(ordered, _white_noise_rows(len(ordered), count, self._rng)))
 
     def second_moment(self, a, b):
-        self.dual.validate_label(a)
-        self.dual.validate_label(b)
+        self.dual.validate_derived_label(a)
+        self.dual.validate_derived_label(b)
         return 1.0 + 0j if a == b else 0j
 
     def second_moment_matrix(self, labels, columns=None):
@@ -167,8 +201,7 @@ class KolmogorovField(FieldSampler):
         ordered = sorted(set(labels))
         coords = self.measure.sample_coordinates(self._rng, count)
         self.last_coordinates = coords
-        rows = np.asarray(self.measure.characters_at(ordered, coords), dtype=complex)
-        return dict(zip(ordered, rows))
+        return dict(zip(ordered, self.measure._complex_characters(ordered, coords)))
 
     def _fourier(self, label: Label) -> complex:
         found = self._fourier_cache.get(label)

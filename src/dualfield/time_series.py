@@ -20,7 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dual_hypergroup import Label, SU2Dual, su2_dual
-from .stationary_fields import FieldSampler, moment_matrix, white_noise_sequence
+from .stationary_fields import (
+    _DRAW_CHUNK,
+    FieldSampler,
+    _white_noise_rows,
+    moment_matrix,
+    white_noise_sequence,
+)
 
 UNIT_CIRCLE_TOL = 1e-8
 
@@ -165,7 +171,11 @@ def ar1_second_moment_oracle(lam: complex) -> Callable[[Label, Label], complex]:
 
 
 def simulate_ma(beta: Sequence[complex], n_max: int, seed=None, noise=None) -> np.ndarray:
-    """Path of Y_n = sum_{k=0}^{q} beta_k Z_{n-k} with Z_j = 0 for j < 0."""
+    """Path of Y_n = sum_{k=0}^{q} beta_k Z_{n-k} with Z_j = 0 for j < 0.
+
+    ``noise`` overrides the generated draws (one complex value per index,
+    left unchanged); otherwise the path is written over its own draw.
+    """
     beta = np.asarray(beta, dtype=complex)
     if beta.size == 0:
         raise ValueError("beta must contain the k = 0 coefficient")
@@ -173,20 +183,60 @@ def simulate_ma(beta: Sequence[complex], n_max: int, seed=None, noise=None) -> n
         raise ValueError("n_max must be nonnegative")
     if noise is None:
         noise = white_noise_sequence(n_max + 1, seed=seed)
-    return _ma(beta, n_max, np.asarray(noise, dtype=complex))
+    else:
+        noise = np.array(noise, dtype=complex)  # a copy: the path is written over it
+    if noise.shape != (n_max + 1,):
+        raise ValueError(f"need {n_max + 1} noise draws, got shape {noise.shape}")
+    return _ma(beta, noise[:, None], np.arange(n_max + 1))[:, 0]
 
 
 def simulate_ma_batch(beta: Sequence[complex], n_max: int, n_paths: int, seed) -> np.ndarray:
-    noise = white_noise_sequence((n_paths, n_max + 1), seed=seed)
-    return _ma(np.asarray(beta, dtype=complex), n_max, noise)
+    """Independent MA(q) paths as rows of an (n_paths, n_max + 1) array.
+
+    The paths are built label-major over their own noise draw by
+    :func:`_ma` and returned as its transposed view: column n is one
+    contiguous block.
+    """
+    noise = _white_noise_rows(n_max + 1, n_paths, np.random.default_rng(seed))
+    return _ma(np.asarray(beta, dtype=complex), noise, np.arange(n_max + 1)).T
 
 
-def _ma(beta: np.ndarray, n_max: int, noise: np.ndarray) -> np.ndarray:
-    """Y_0..Y_{n_max} from Z_0..Z_{n_max} along the last axis of ``noise``, Z_j = 0 for j < 0."""
-    out = np.zeros(noise.shape[:-1] + (n_max + 1,), dtype=complex)
-    for k, coeff in enumerate(beta[: n_max + 1]):
-        out[..., k:] += coeff * noise[..., : n_max + 1 - k]
-    return out
+def _ma(beta: np.ndarray, noise: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Y = sum_k beta_k Z_{n-k} at rows ``at`` of label-major ``noise``, written over it.
+
+    Row j of ``noise`` holds the samples of one noise index and the row k
+    before it those of the index k lower; rows before the first count as
+    Z = 0.  ``at`` is ascending.  Rows are built from the last label down,
+    a block of about ``_DRAW_CHUNK`` values at a time, so every Z_{n-k} is
+    read before its row is overwritten, and the two row buffers stay
+    cache-sized.  Each value is 0 + beta_0 Z_n + ... + beta_q Z_{n-q} in
+    that order, the bits of a sum over whole noise columns.
+    """
+    step = max(1, _DRAW_CHUNK // max(1, noise.shape[1]))
+    buffers = np.empty((2, min(step, len(at)), noise.shape[1]), dtype=complex)
+    for stop in range(len(at), 0, -step):
+        rows = at[max(0, stop - step) : stop]
+        # Consecutive rows are read as slices; others are gathered into ``term``.
+        lo, hi = int(rows[0]), int(rows[-1]) + 1
+        consecutive = hi - lo == len(rows)
+        acc, term = buffers[:, : len(rows)]
+        acc.fill(0)
+        for k, coeff in enumerate(beta):
+            first = int(np.searchsorted(rows, k))  # rows below k have Z_{n-k} = 0
+            if first == len(rows):
+                break
+            t = term[first:]
+            if consecutive:
+                np.multiply(coeff, noise[lo + first - k : hi - k], out=t)
+            else:
+                noise.take(rows[first:] - k, axis=0, out=t, mode="clip")
+                np.multiply(coeff, t, out=t)
+            acc[first:] += t
+        if consecutive:
+            noise[lo:hi] = acc
+        else:
+            noise[rows] = acc
+    return noise
 
 
 def ma_covariance(beta: Sequence[complex], h: int) -> complex:
@@ -281,13 +331,15 @@ class SeriesField(FieldSampler):
     not 60.  A window 0 .. N is the path of ``simulate_ar1_batch`` and keeps
     its bits; other label sets have the law of the path, not its values.
     MA(q) ``sample_batch`` draws only the noises its labels read: Z_j for j
-    in the sorted union of n - q .. n over the labels, in one
-    ``white_noise_sequence`` call, so labels far apart cost no more than
-    labels side by side, and every label, those below q included, is in
-    the steady regime of ``second_moment``.  A window 0 .. N draws
-    Z_{-q} .. Z_N, the noise of ``simulate_ma_batch`` on the extended path,
-    and keeps its bits.  The values are built label-major, so each label's
-    samples are one contiguous row.
+    in the sorted union of n - q .. n over the labels, in one label-major
+    draw with the bits of ``white_noise_sequence`` transposed, so labels far
+    apart cost no more than labels side by side, and every label, those
+    below q included, is in the steady regime of ``second_moment``.  A
+    window 0 .. N draws Z_{-q} .. Z_N, the noise of ``simulate_ma_batch`` on
+    the extended path, and keeps its bits.  :func:`_ma` writes Y_n over the
+    row of Z_n, from the last label down, and the values returned are those
+    rows: each label's samples are one contiguous row, and no array beside
+    the draw is allocated.
     """
 
     def __init__(self, spec: SeriesSpec, seed=0, dual: SU2Dual | None = None):
@@ -309,21 +361,12 @@ class SeriesField(FieldSampler):
         beta = np.asarray(self.spec.coefficients, dtype=complex)
         n = np.array(ordered, dtype=int)
         drawn = np.unique(n[:, None] - np.arange(beta.size))
-        # Label-major: row j of ``columns`` is the draw of Z_{drawn[j]}.
-        columns = white_noise_sequence((count, drawn.size), rng=self._rng).T
+        # Label-major: row j of ``noise`` is the draw of Z_{drawn[j]}, and
         # n - q .. n are consecutive in ``drawn``, so Z_{n-k} sits k rows before Z_n.
+        noise = _white_noise_rows(drawn.size, count, self._rng)
         at = np.searchsorted(drawn, n)
-        consecutive = n.size > 0 and n[-1] - n[0] == n.size - 1
-        if not consecutive:
-            columns = np.ascontiguousarray(columns)  # rows gathered below are read whole
-        values = np.zeros((n.size, count), dtype=complex)
-        for k, coeff in enumerate(beta):
-            if consecutive:
-                z = columns[at[0] - k : at[0] - k + n.size]
-            else:
-                z = columns.take(at - k, axis=0)
-            values += coeff * z
-        return dict(zip(ordered, values))
+        _ma(beta, noise, at)
+        return {label: noise[row] for label, row in zip(ordered, at.tolist())}
 
     def second_moment(self, a, b):
         return self._oracle(self.dual.validate_label(a), self.dual.validate_label(b))

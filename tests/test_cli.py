@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -519,6 +520,23 @@ class TestNonFiniteResults:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_error_names_the_row_without_a_warning(self, capsys, fmt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "spectral", "--dual", "su2", "--format", fmt, "--labels", "0..3",
+                "atoms:0:1e308",
+            )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: transform at label 1: re is inf, not finite: "
+            "the input overflows double precision\n"
+        )
+        code, out, err = run(capsys, "convolve", "--dual", "su2", "--format", fmt, "1:1e308", "1:1e308")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: convolution at label 0: re is ")
+
     def test_large_finite_results_still_print(self, capsys):
         code, out, _ = run(capsys, "spectral", "--dual", "finite:s3", "classes:1e307,0,0")
         assert code == 0
@@ -738,6 +756,25 @@ class TestPeakMemory:
         assert peak <= 16 * self.LIMIT, peak / (16 * self.LIMIT)
         one_more = argv(bound + 1, samples) if grow_bound else argv(bound, samples + 1)
         assert run(capsys, *one_more)[0] == 2
+
+
+    def test_readme_ma_example_holds_under_two_values_per_draw(self, capsys):
+        # Z_2 .. Z_6 over 100000 samples: the draw is written once, label-major,
+        # and the MA values are built over it.
+        argv = ["simulate", "--dual", "su2", "--bound", "3", "--seed", "7", "--samples", "100000",
+                "ma:1,0;1,0"]
+        drawn = 5 * 100000
+        # A small call first loads what numpy and the package load lazily.
+        assert run(capsys, *argv[:-2], "2", argv[-1])[0] == 0
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 2 * 16 * drawn, peak / (16 * drawn)
 
 
 class TestCheckPeakMemory:
@@ -965,7 +1002,13 @@ class TestTorusLabelBound:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
-    def test_product_past_the_bound_refused(self, capsys):
-        code, out, err = run(capsys, "tensor", "--dual", "torus", "4611686018427387903", "1")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: torus: label 4611686018427387904 is not below 2**62")
+    def test_derived_labels_need_only_fit_in_int64(self, capsys):
+        # Input labels stay below 2**62; the sum and difference they derive are labels too.
+        code, out, _ = run(capsys, "tensor", "--dual", "torus", "4611686018427387903", "1")
+        assert code == 0
+        assert out.splitlines()[1:] == ["4611686018427387904,1,1", "# dimcheck 1=1"]
+        top = "4611686018427387903"
+        for spec in ("whitenoise", "kolmogorov:atoms:1:1"):
+            code, out, _ = run(capsys, "check", "--dual", "torus", f"--labels=-{top},{top}", spec)
+            assert code == 0
+            assert json.loads(out)["pass"] is True

@@ -476,6 +476,21 @@ class TestTorusLabelBound:
         assert report.passed
         assert report.max_violation == 0.0
 
+    def test_derived_labels_fit_in_int64(self, torus):
+        top = 2**62 - 1
+        assert torus.tensor(top, top) == DualVector({2 * top: 1})
+        assert torus.dim(2 * top) == 1
+        assert torus.conjugate(-(2**63) + 1) == 2**63 - 1
+        derived = torus.validate_derived_labels(np.array([2 * top, -2 * top]))
+        assert derived.tolist() == [2 * top, -2 * top]
+        for bad in (2**63, -(2**63)):
+            with pytest.raises(LabelDomainError, match="does not fit in int64"):
+                torus.validate_derived_label(bad)
+            with pytest.raises(LabelDomainError, match="does not fit in int64"):
+                torus.validate_derived_labels(np.array([0, bad], dtype=object if bad > 0 else np.int64))
+        with pytest.raises(LabelDomainError, match=f"label {2**63} does not fit in int64"):
+            torus.tensor(2**63 - 1, 1)
+
     def test_labels_past_the_bound_give_no_verdict(self, torus):
         # a - b wrapped in int64 here once, and the check failed a stationary oracle.
         with pytest.raises(LabelDomainError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -453,6 +454,20 @@ class TestKolmogorovWindows:
             for term in terms[1:]:
                 want = want + term
             assert values.tobytes() == want.tobytes()
+
+    def test_su2_sample_holds_no_float_table(self):
+        field = kolmogorov_field(heat_kernel_measure(0.1), 5)
+        field.sample_batch(range(3), 10)  # the sampling table is built on the first draw
+        tracemalloc.start()
+        try:
+            batch = field.sample_batch(range(151), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = 151 * 2000 * 16
+        assert len(batch) == 151
+        # A float table of the characters beside the complex output would add half of it.
+        assert peak < 1.2 * output, peak / output
 
     def test_empty_window_draws_nothing(self):
         field = kolmogorov_field(heat_kernel_measure(0.5), 3)

@@ -22,6 +22,7 @@ from dualfield import (
     white_noise_sequence,
 )
 from dualfield import stationary_fields, time_series
+from dualfield.stationary_fields import _white_noise_rows
 
 LAMBDA_GRID = [0.0, 0.5, -0.5, 0.9, np.exp(1j * math.pi / 4), 1j, 2.0]
 
@@ -519,6 +520,24 @@ class TestWhiteNoiseSequence:
         expected = two_call_noise((9, len(labels)), seed)
         for i, label in enumerate(sorted(labels)):
             assert batch[label].tobytes() == expected[:, i].tobytes()
+
+    @pytest.mark.parametrize(
+        "count, rows",
+        [(0, 3), (3, 0), (0, 0), (1, 1), (7, 5), (16383, 1), (16384, 1), (16385, 1),
+         (8191, 2), (8192, 2), (8193, 2), (1, 16385), (5461, 3), (5462, 3), (40000, 2)],
+    )
+    def test_label_major_draw_is_the_transposed_sequence(self, count, rows):
+        # Chunks of _DRAW_CHUNK = 2**14 normals: shapes just below, at and above a chunk.
+        expected_rng, rng = np.random.default_rng(23), np.random.default_rng(23)
+        expected = white_noise_sequence((count, rows), rng=expected_rng).T
+        got = _white_noise_rows(rows, count, rng)
+        assert got.shape == (rows, count) and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        # The chunked sequence itself is the unchunked two-call stream.
+        assert white_noise_sequence((count, rows), seed=23).tobytes() == (
+            two_call_noise((count, rows), 23).tobytes()
+        )
 
     def test_one_function_everywhere(self):
         assert time_series.white_noise_sequence is white_noise_sequence
