@@ -251,11 +251,13 @@ class TranslatedField(FieldSampler):
     def sample_batch(self, labels, count):
         ordered = sorted(set(labels))
         needed = sorted({k for label in ordered for k in self._shifted(label).support})
+        # One block of label rows, as the other fields return: the per-label
+        # sums are short-lived, so they do not pile up beside the base draw.
+        out = np.empty((len(ordered), count), dtype=complex)
         base_values = self.base.sample_batch(needed, count)
-        return {
-            label: evaluate_at_vector(base_values, self._shifted(label))
-            for label in ordered
-        }
+        for row, label in zip(out, ordered):
+            row[...] = evaluate_at_vector(base_values, self._shifted(label))
+        return dict(zip(ordered, out))
 
     def second_moment(self, a, b):
         va = self._shifted(a)
