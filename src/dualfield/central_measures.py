@@ -255,13 +255,16 @@ class SU2AngleMeasure(_AngleMeasure):
 
     def characters_at(self, labels, coordinates):
         rows = [self.dual.validate_label(label) for label in labels]
-        return su2_character_values(max(rows, default=0), coordinates)[rows]
+        distinct = sorted(set(rows))
+        table = np.empty((len(distinct), np.size(coordinates)))
+        _su2_characters_into(table, distinct, coordinates)
+        return table[np.searchsorted(distinct, rows)]
 
     def _complex_characters(self, labels, coordinates):
         # The recurrence writes each row straight into the real parts of the
         # output: no float table, gathered copy or conversion pass.
         rows = [self.dual.validate_label(label) for label in labels]
-        values = np.zeros((len(rows), len(coordinates)), dtype=complex)
+        values = np.zeros((len(rows), np.size(coordinates)), dtype=complex)
         _su2_characters_into(values.real, rows, coordinates)
         return values
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from importlib import resources
@@ -134,32 +134,31 @@ def su2_character_values(n_max: int, theta) -> np.ndarray:
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.empty((n_max + 1, theta.size))
-    out[0] = 1.0
-    if n_max >= 1:
-        x = 2.0 * np.cos(theta)
-        out[1] = x
-        for n in range(1, n_max):
-            out[n + 1] = x * out[n] - out[n - 1]
+    _su2_characters_into(out, range(n_max + 1), theta)
     return out
 
 
-def _su2_characters_into(out: np.ndarray, labels: list[int], theta) -> None:
-    """Write chi_{labels[i]} at ``theta`` over row i of the float array ``out``.
+def _su2_characters_into(out: np.ndarray, labels: Sequence[int], theta) -> None:
+    """Write chi_{labels[i]} at the class angles ``theta`` over row i of ``out``.
 
     ``labels`` are ascending, distinct and validated.  The recurrence of
-    :func:`su2_character_values` runs in place, with the bits of
-    ``su2_character_values(labels[-1], theta)[labels]``: each asked-for
-    character is computed in its own row of ``out`` (which may be the real
-    view of a complex array), and the characters between them pass through
-    three spare rows.
+    :func:`su2_character_values` runs in place (``np.multiply`` and
+    ``np.subtract`` with ``out=``): each asked-for character is computed in
+    its own row of ``out``, which may be the real view of a complex array,
+    and the characters between them pass through three spare rows.  A row
+    holds the same bits whichever labels are asked for.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    at = {n: i for i, n in enumerate(labels)}
     top = labels[-1] if labels else -1
     spare = np.empty((3, theta.size)) if len(labels) <= top else None
+    i = 0  # row of the next asked-for label
     older = newer = x = None
     for n in range(top + 1):
-        row = out[at[n]] if n in at else spare[n % 3]
+        if labels[i] == n:
+            row = out[i]
+            i += 1
+        else:
+            row = spare[n % 3]
         if n == 0:
             row[...] = 1.0
         elif n == 1:

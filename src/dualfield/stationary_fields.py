@@ -83,11 +83,29 @@ def _fill_white_noise(view: np.ndarray, rng: np.random.Generator) -> None:
 
 def evaluate_at_vector(sample: Mapping[Label, object], vec: DualVector):
     """Decomposable extension: value of a joint sample at a reducible element."""
+    return _evaluate_into(None, sample, vec)
+
+
+def _evaluate_into(out, sample: Mapping[Label, object], vec: DualVector):
+    """:func:`evaluate_at_vector`, written over the array ``out`` unless it is None.
+
+    The terms mult * sample[label] are added in the order of ``vec``, in
+    place into the first, so array samples hold one term beside the sum.
+    """
     total = None
     for label, mult in vec.items():
-        term = mult * sample[label]
-        total = term if total is None else total + term
-    return 0j if total is None else total
+        if total is not None:
+            total += mult * sample[label]
+        elif out is None:
+            total = mult * sample[label]
+        else:
+            total = np.multiply(mult, sample[label], out=out)
+    if total is not None:
+        return total
+    if out is None:
+        return 0j
+    out.fill(0)
+    return out
 
 
 class FieldSampler:
@@ -251,13 +269,14 @@ class TranslatedField(FieldSampler):
     def sample_batch(self, labels, count):
         ordered = sorted(set(labels))
         needed = sorted({k for label in ordered for k in self._shifted(label).support})
-        # One block of label rows, as the other fields return: the per-label
-        # sums are short-lived, so they do not pile up beside the base draw.
-        out = np.empty((len(ordered), count), dtype=complex)
+        # The rows are allocated before the base draw, so the draw, freed on
+        # return, lies above them at the top of the heap and is given back,
+        # rather than left resident below them as a hole.
+        values = {label: np.empty(count, dtype=complex) for label in ordered}
         base_values = self.base.sample_batch(needed, count)
-        for row, label in zip(out, ordered):
-            row[...] = evaluate_at_vector(base_values, self._shifted(label))
-        return dict(zip(ordered, out))
+        for label, row in values.items():
+            _evaluate_into(row, base_values, self._shifted(label))
+        return values
 
     def second_moment(self, a, b):
         va = self._shifted(a)

@@ -173,8 +173,10 @@ def ar1_second_moment_oracle(lam: complex) -> Callable[[Label, Label], complex]:
 def simulate_ma(beta: Sequence[complex], n_max: int, seed=None, noise=None) -> np.ndarray:
     """Path of Y_n = sum_{k=0}^{q} beta_k Z_{n-k} with Z_j = 0 for j < 0.
 
-    ``noise`` overrides the generated draws (one complex value per index,
-    left unchanged); otherwise the path is written over its own draw.
+    ``noise`` overrides the generated draws and is left unchanged: its
+    last axis is indexed by j, values past n_max are ignored, and a noise of
+    more axes gives one path per leading index.  Otherwise the path is
+    written over its own draw.
     """
     beta = np.asarray(beta, dtype=complex)
     if beta.size == 0:
@@ -184,10 +186,14 @@ def simulate_ma(beta: Sequence[complex], n_max: int, seed=None, noise=None) -> n
     if noise is None:
         noise = white_noise_sequence(n_max + 1, seed=seed)
     else:
-        noise = np.array(noise, dtype=complex)  # a copy: the path is written over it
-    if noise.shape != (n_max + 1,):
-        raise ValueError(f"need {n_max + 1} noise draws, got shape {noise.shape}")
-    return _ma(beta, noise[:, None], np.arange(n_max + 1))[:, 0]
+        # A copy: the paths are written over it.
+        noise = np.array(noise, dtype=complex)[..., : n_max + 1]
+    if noise.ndim == 0 or noise.shape[-1] != n_max + 1:
+        raise ValueError(f"need {n_max + 1} noise draws along the last axis, got shape {noise.shape}")
+    # Label-major view of the draws: row j holds Z_j of every path.
+    rows = np.moveaxis(noise, -1, 0)
+    paths = _ma(beta, rows.reshape(n_max + 1, math.prod(rows.shape[1:])), np.arange(n_max + 1))
+    return np.moveaxis(paths.reshape(rows.shape), 0, -1)
 
 
 def simulate_ma_batch(beta: Sequence[complex], n_max: int, n_paths: int, seed) -> np.ndarray:

@@ -187,6 +187,22 @@ class TestMASimulation:
         assert path[0] == 0
         assert np.array_equal(path[1:], noise[:-1])
 
+    def test_noise_is_cut_to_the_path_and_read_along_its_last_axis(self):
+        beta = (1.0, 0.5j, -2.0)
+        noise = white_noise_sequence((3, 2, 9), seed=4)
+        kept = noise.copy()
+        paths = simulate_ma(beta, 6, noise=noise)
+        assert paths.shape == (3, 2, 7)
+        assert np.array_equal(noise, kept)
+        for index in np.ndindex(3, 2):
+            want = np.zeros(7, dtype=complex)
+            for k, coeff in enumerate(beta):
+                want[k:] += coeff * noise[index][: 7 - k]
+            assert paths[index].tobytes() == want.tobytes()
+            assert simulate_ma(beta, 6, noise=noise[index]).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="need 7 noise draws"):
+            simulate_ma(beta, 6, noise=noise[..., :6])
+
     def test_monte_carlo_matches_covariance_in_steady_regime(self):
         beta = (1.0, 1.0)
         paths = simulate_ma_batch(beta, 6, 100000, seed=7)
