@@ -130,7 +130,7 @@ class FiniteClassMeasure(CentralMeasure):
 class _AngleMeasure(CentralMeasure):
     """Atoms plus an optional density in an angle coordinate.
 
-    The density's mass comes from the quadrature rule at construction.
+    The density's mass comes from ``_integrate_density`` at construction.
     The sampling table (the density on a grid of ``_SAMPLING_GRID + 1``
     angles and its trapezoid CDF) is read only by ``sample_coordinates``,
     so it is built on the first draw that reaches the density and kept in
@@ -323,6 +323,33 @@ class TorusAngleMeasure(_AngleMeasure):
 # ---------------------------------------------------------------------------
 
 
+class _CharacterSeriesMeasure(SU2AngleMeasure):
+    """Density sum_n c_n chi_n on SU(2), defined by its coefficients c_0 .. c_m.
+
+    Characters are orthonormal for the Weyl measure, so the transform at
+    label n is c_n, and 0 past the truncation order m.
+    """
+
+    def __init__(self, coefficients: np.ndarray, dual: SU2Dual, description: str):
+        order = len(coefficients) - 1
+
+        def density(theta: np.ndarray) -> np.ndarray:
+            return coefficients @ su2_character_values(order, theta)
+
+        self.series_coefficients = coefficients
+        self.truncation_order = order
+        self.dual = dual
+        # Skips SU2AngleMeasure.__init__: no quadrature transform table is built.
+        _AngleMeasure.__init__(self, (), density, description)
+
+    def _integrate_density(self) -> float:
+        return float(self.series_coefficients[0])
+
+    def fourier(self, label: Label) -> complex:
+        n = self.dual.validate_label(label)
+        return complex(self.series_coefficients[n]) if n <= self.truncation_order else 0j
+
+
 def heat_kernel_transform(t: float, n: int) -> float:
     """Closed form of the heat-kernel transform at label n: (n+1) e^{-t n (n+2)}."""
     return (n + 1) * math.exp(-t * n * (n + 2))
@@ -335,9 +362,12 @@ def heat_kernel_measure(t: float, quadrature_nodes: int = 256) -> SU2AngleMeasur
     series with coefficients (n+1) e^{-t n (n+2)}, truncated once the
     sup-norm of the next term falls below the series tail tolerance.
     The eigenvalue normalization is n (n+2) for label n, with t exposed
-    so any other scale is a reparametrization.  A truncation order above
-    ``quadrature_nodes`` is past what the quadrature rule integrates
-    correctly, so such small t raise :class:`ValueError`.
+    so any other scale is a reparametrization.  The measure is its
+    series: the transform at label n is coefficient n up to the
+    truncation order and 0 past it, and the mass is coefficient 0, which
+    is 1, so no quadrature rule is built; the density is evaluated only
+    to sample.  A truncation order above ``quadrature_nodes``, past what
+    that many nodes integrate correctly, raises :class:`ValueError`.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"heat kernel time must be finite and positive, got {t}")
@@ -355,24 +385,11 @@ def heat_kernel_measure(t: float, quadrature_nodes: int = 256) -> SU2AngleMeasur
             )
         coefficients.append(coeff)
         n += 1
-    coeffs = np.asarray(coefficients)
-    order = len(coeffs) - 1
-
-    def density(theta: np.ndarray) -> np.ndarray:
-        chars = su2_character_values(order, theta)
-        return coeffs @ chars
-
-    measure = SU2AngleMeasure(
-        density=density,
-        dual=su2_dual(quadrature_nodes),
-        description=f"heat kernel t={t:g} ({order + 1} series terms)",
+    return _CharacterSeriesMeasure(
+        np.asarray(coefficients),
+        su2_dual(quadrature_nodes),
+        f"heat kernel t={t:g} ({len(coefficients)} series terms)",
     )
-    measure.series_coefficients = coeffs
-    measure.truncation_order = order
-    mass = measure.total_mass()
-    if abs(mass - 1.0) > 1e-10:
-        raise ValueError(f"heat kernel t={t}: constructed mass {mass} is not 1")
-    return measure
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import cmath
 import functools
 import json
 import math
-import secrets
 import sys
 from pathlib import Path
 
@@ -73,9 +72,11 @@ PEAK_PER_PAIR = 160
 # under tracemalloc on windows of 4 labels from 10^3 to 2 * 10^5 over every
 # field spec and the three kinds: at most 135 bytes for white noise, 153 for
 # MA, 193 for AR(1) and 263 for a Kolmogorov field on two atoms.  The Fourier
-# transform of an SU(2) angle measure also keeps the characters at its atoms
-# and quadrature nodes, up to 25 bytes a point (6.3 KB an irreducible for the
-# heat measure), counted as PEAK_PER_POINT.
+# transform of an SU(2) measure of atoms or a given density also keeps the
+# characters at its atoms and quadrature nodes, up to 25 bytes a point, counted
+# as PEAK_PER_POINT.  A heat measure's transform is its series coefficient and
+# keeps none (184 bytes an irreducible in all), but its density still counts
+# the 256 nodes, so heat checks stop at label 15887, far below what they hold.
 PEAK_PER_IRREDUCIBLE = 16
 PEAK_PER_POINT = 2
 
@@ -165,6 +166,9 @@ def parse_vector_spec(dual: DualStructure, text: str) -> DualVector:
 
 
 def parse_field_spec(dual: DualStructure, text: str, seed) -> FieldSampler:
+    # Fields build their generator on the first draw, which a check never makes.
+    if seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
     if text == "whitenoise":
         return white_noise(dual, seed)
     if text.startswith("kolmogorov:"):
@@ -181,6 +185,8 @@ def _ensure_seed(args) -> tuple[int, bool]:
     """Explicit seed, or a generated one that must be recorded in the output."""
     if args.seed is not None:
         return args.seed, False
+    import secrets  # here, at its one use: commands that never draw never load it
+
     return secrets.randbits(63), True
 
 

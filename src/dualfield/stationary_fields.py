@@ -13,6 +13,7 @@ oracles only; Monte Carlo enters solely through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -111,7 +112,9 @@ def _evaluate_into(out, sample: Mapping[Label, object], vec: DualVector):
 class FieldSampler:
     """Joint sampler over irreducible labels with an exact moment oracle.
 
-    A subclass that overrides ``second_moment`` but not
+    The generator ``np.random.default_rng(seed)`` is built the first time
+    ``_rng`` is read, so fields used only for their moments never import
+    ``numpy.random``.  A subclass that overrides ``second_moment`` but not
     ``second_moment_matrix`` gets the per-pair matrix, never the array form
     of the class it extends.
     """
@@ -123,7 +126,10 @@ class FieldSampler:
         self.dual = dual
         self.seed = seed
         self.descriptor = descriptor
-        self._rng = np.random.default_rng(seed)
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

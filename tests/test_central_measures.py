@@ -144,6 +144,32 @@ class TestHeatKernel:
         with pytest.raises(ValueError, match="exceeds 32"):
             heat_kernel_measure(0.01, quadrature_nodes=32)
 
+    @pytest.mark.parametrize("t", [1e-3, 0.05, 1.0])
+    def test_transform_is_the_series_coefficient(self, t):
+        heat = heat_kernel_measure(t)
+        coefficients = heat.series_coefficients
+        assert heat.total_mass() == 1.0
+        for n in range(10**5 + 1):
+            want = complex(coefficients[n]) if n <= heat.truncation_order else 0j
+            assert hex_pair(heat.fourier(n)) == hex_pair(want)
+
+    def test_transform_agrees_with_quadrature(self):
+        theta, weights = weyl_quadrature(256)
+        chars = su2_character_values(150, theta)
+        for t in (0.005, 0.02, 0.1, 0.5, 1.0):
+            heat = heat_kernel_measure(t)
+            quadrature = chars @ (weights * heat.density(theta))
+            series = np.array([heat.fourier(n) for n in range(151)])
+            assert np.abs(series - quadrature).max() < 1e-12
+
+    def test_no_quadrature_table(self):
+        heat = heat_kernel_measure(0.05)
+        for name in ("_points", "_weighted_density", "_point_characters"):
+            assert not hasattr(heat, name)
+        assert heat._sampling_table is None
+        heat.sample_coordinates(np.random.default_rng(0), 3)
+        assert heat._sampling_table is not None
+
 
 class TestBochnerInversion:
     def test_haar_from_white_noise_covariance(self, s3):
@@ -398,7 +424,13 @@ def test_weyl_quadrature_orthonormality():
 
 
 def ref_su2_fourier(measure, n):
-    """The transform at one label, with its own recurrence run up to n."""
+    """The transform at one label, with its own recurrence run up to n.
+
+    A heat-kernel measure is its character series: the reference is the
+    series coefficient, and 0 past the truncation order.
+    """
+    if hasattr(measure, "series_coefficients"):
+        return complex(measure.series_coefficients[n]) if n <= measure.truncation_order else 0j
     total = 0j
     if measure.atoms:
         thetas = np.array([t for t, _ in measure.atoms])
@@ -448,7 +480,7 @@ class TestCharacterTables:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 299])
     def test_table_is_lazy_and_at_most_twice_the_label(self, n):
-        measure = heat_kernel_measure(0.1)
+        measure = SU2_MEASURES["atoms and density"]()
         assert len(measure._point_characters) == 0
         measure.fourier(n)
         assert n < len(measure._point_characters) <= 2 * n + 1
@@ -525,7 +557,7 @@ class TestCharacterTables:
     def test_concurrent_readers_get_the_same_bits(self):
         # Threads grow one shared table at once; each must still read a table
         # holding its row, whichever thread's table was assigned last.
-        measure = heat_kernel_measure(0.02)
+        measure = SU2_MEASURES["atoms and density"]()
         dual = su2_dual()
         theta, weights = weyl_quadrature(dual.quadrature_nodes)
         windows = [list(np.random.default_rng(i).permutation(260)) for i in range(8)]

@@ -283,6 +283,15 @@ class TestSimulateCommand:
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize("command", [["check", "--labels", "0..2"], ["simulate", "--bound", "2"]])
+    @pytest.mark.parametrize("spec", ["whitenoise", "kolmogorov:heat:0.5", "ar1:0.5,0"])
+    def test_negative_seed_exits_2_without_a_draw(self, capsys, command, spec):
+        # A check never draws, so its field never builds the generator that
+        # would refuse the seed: the seed is refused with the field spec.
+        code, out, err = run(capsys, command[0], "--dual", "su2", *command[1:], "--seed", "-1", spec)
+        assert (code, out) == (2, "")
+        assert "--seed must be a nonnegative integer, got -1" in err
+
     def test_white_noise_statdef_passes(self, capsys):
         code, out, _ = run(
             capsys, "check", "--dual", "su2", "--labels", "0..4", "whitenoise"

@@ -156,6 +156,20 @@ class TestKolmogorovField:
         hyper = check_hypergroup_stationarity(su2, field.second_moment, range(5), tol=1e-10)
         assert hyper.passed
 
+    def test_heat_check_at_high_labels_is_small(self, su2):
+        # Pairs of 16390..16393 cover the irreducibles 0..32786: their characters
+        # at 256 quadrature nodes would take about 198 MiB, the transforms 0.5 MiB.
+        field = kolmogorov_field(heat_kernel_measure(0.05), seed=0)
+        check_stationarity(su2, field.second_moment, range(2))  # loads what loads lazily
+        tracemalloc.start()
+        try:
+            report = check_stationarity(su2, field.second_moment, range(16390, 16394))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 16 * 2**20, peak / 2**20
+
     def test_monte_carlo_against_oracle(self, su2):
         field = kolmogorov_field(heat_kernel_measure(1.0), seed=21)
         exact = field.second_moment(1, 1)
