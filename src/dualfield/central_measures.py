@@ -523,9 +523,8 @@ def parse_measure_spec(dual: DualStructure, text: str) -> CentralMeasure:
         if isinstance(dual, FiniteGroupDual):
             return FiniteClassMeasure.haar(dual)
         if isinstance(dual, SU2Dual):
-            return SU2AngleMeasure(
-                density=lambda theta: np.ones_like(theta), dual=dual, description="haar on su2"
-            )
+            # The density 1 = chi_0: its transform is 1 at label 0 and 0 elsewhere.
+            return _CharacterSeriesMeasure(np.ones(1), dual, "haar on su2")
         if isinstance(dual, TorusDual):
             return TorusAngleMeasure(
                 density=lambda theta: np.ones_like(theta), dual=dual, description="haar on torus"

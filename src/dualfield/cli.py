@@ -63,9 +63,9 @@ PEAK_PER_ROW = 32
 # What a ``check`` holds at its peak, in complex values (16 bytes) per label
 # pair.  Measured under tracemalloc on SU(2) windows of 200 and 300 labels over
 # every field spec and the three kinds: 90 bytes a pair for white noise and MA,
-# 133 for Kolmogorov heat (528 normalized), and at most 2160 (135 values) when
-# nearly every pair fails and becomes a printed witness (complex AR(1), atoms
-# under the normalized kind).
+# 107 for Kolmogorov heat (196 normalized, where it fails), and at most 2160
+# (135 values) when nearly every pair fails and becomes a printed witness
+# (complex AR(1), atoms under the normalized kind).
 PEAK_PER_PAIR = 160
 # What a check on SU(2) holds per irreducible its pairs cover (0 .. 2 * the
 # largest label), in complex values, counted apart from the pairs.  Measured
@@ -74,9 +74,9 @@ PEAK_PER_PAIR = 160
 # MA, 193 for AR(1) and 263 for a Kolmogorov field on two atoms.  The Fourier
 # transform of an SU(2) measure of atoms or a given density also keeps the
 # characters at its atoms and quadrature nodes, up to 25 bytes a point, counted
-# as PEAK_PER_POINT.  A heat measure's transform is its series coefficient and
-# keeps none (184 bytes an irreducible in all), but its density still counts
-# the 256 nodes, so heat checks stop at label 15887, far below what they hold.
+# as PEAK_PER_POINT.  A character-series measure (heat, SU(2) Haar) answers from
+# its coefficients and keeps none: at most 198 bytes an irreducible in all, so
+# its checks reach label 524287, as white noise does.
 PEAK_PER_IRREDUCIBLE = 16
 PEAK_PER_POINT = 2
 
@@ -311,8 +311,9 @@ def _covered_size(dual: DualStructure, field: FieldSampler, top: int) -> int:
     """Complex values' worth of memory a ``check`` holds for the SU(2) irreducibles 0 .. 2 * top."""
     per_irreducible = PEAK_PER_IRREDUCIBLE
     if isinstance(field, KolmogorovField) and isinstance(field.measure, SU2AngleMeasure):
-        nodes = dual.quadrature_nodes if field.measure.density is not None else 0
-        per_irreducible += PEAK_PER_POINT * (len(field.measure.atoms) + nodes)
+        # The atoms and quadrature nodes whose characters the transform keeps:
+        # none for a character series (heat, Haar).
+        per_irreducible += PEAK_PER_POINT * len(getattr(field.measure, "_points", ()))
     return per_irreducible * (2 * max(top, 0) + 1)
 
 

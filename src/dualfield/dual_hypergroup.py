@@ -692,10 +692,13 @@ def pair_matrix(
 
     Entry (i, j) takes a = labels[i] and b = labels[j].  The coefficients
     c_k are those :func:`convolve` gives under ``kind``: the multiplicity
-    m_k of k in a (x) conj(b), or ((1 / (d_a d_b)) m_k) d_k when
-    normalized.  ``value`` is called once per irreducible that occurs,
-    in ascending order, and its terms are added in ascending k, as
-    :func:`convolve` orders them, so every entry is the per-pair sum.
+    m_k of k in a (x) conj(b), or m_k d_k / (d_a d_b) when normalized.
+    ``value`` is called once per irreducible that occurs, in ascending
+    order.  A representation-ring entry has the bits of the per-pair sum
+    of m_k value(k) from 0j in ascending k, as :func:`convolve` orders
+    them.  A normalized entry is the ring entry of k -> d_k value(k) with
+    its real and imaginary parts each multiplied by 1 / (d_a d_b); it may
+    differ from :func:`convolve`'s per-term sum in the last bits.
     """
     return pair_grid(dual, labels, None, per_label(value), kind)
 
@@ -716,13 +719,15 @@ def pair_grid(
 
     ``values_at`` is called once, with the ascending list of every
     irreducible that occurs, and returns their values as one complex
-    array; entry (i, j) has the bits of the per-pair sum for a = rows[i],
-    b = columns[j].  Each label is validated once.
+    array, which is only read; entry (i, j) is the :func:`pair_matrix`
+    entry for a = rows[i], b = columns[j].  Each label is validated once.
 
     On duals with a :meth:`~DualStructure.band` (SU(2)) the terms of a
     pair are a progression, so pairs that start at the same irreducible
     share their running sums.  The torus and the finite duals list every
     term once (:meth:`~DualStructure.terms`) and add them in one pass.
+    The normalized kind runs the same path on d_k value(k) and scales
+    the result once by 1 / (d_a d_b).
     """
     if kind not in ("representation_ring", "normalized"):
         raise ValueError(f"unknown convolution kind {kind!r}")
@@ -734,24 +739,28 @@ def pair_grid(
     y = x if columns is rows else dual.validate_labels(columns)
     a = x[:, None]
     b = dual.conjugates(y)[None, :]
-    scale = None
-    if kind == "normalized":
-        scale = 1.0 / (dual.dims(x)[:, None] * dual.dims(y)[None, :])
+    dims = dual.dims if kind == "normalized" else None
     band = dual.band(a, b)
     if band is None:
         pair, k, m = dual.terms(a, b)
         ks, at = np.unique(k, return_inverse=True)
-        c = m if scale is None else scale.ravel()[pair] * m * dual.dims(ks)[at]
+        values = values_at(ks.tolist())[at]
+        if dims is not None:
+            values *= dims(k)
         # Terms listed by pair, then ascending k: the per-pair sum from 0j.
         out = np.zeros(len(x) * len(y), dtype=complex)
-        np.add.at(out, pair, c * values_at(ks.tolist())[at])
-        return out.reshape(len(x), len(y))
-    first, span, step = band
-    if scale is None:
-        out = _band_ring(first.ravel(), span.ravel(), step, values_at)
+        np.add.at(out, pair, m * values)
     else:
-        out = _band_normalized(dual, first.ravel(), span.ravel(), step, scale.ravel(), values_at)
-    return out.reshape(len(x), len(y))
+        first, span, step = band
+        out = _band_ring(first.ravel(), span.ravel(), step, values_at, dims)
+    out = out.reshape(len(x), len(y))
+    if dims is not None:
+        # Real and imaginary parts apart: a complex multiply may fuse its
+        # products, which moves the sign of a part that underflows to 0.
+        scale = 1.0 / (dims(x)[:, None] * dims(y)[None, :])
+        out.real *= scale
+        out.imag *= scale
+    return out
 
 
 # Entries per block of the running-sum table: bounds its memory on windows
@@ -759,11 +768,12 @@ def pair_grid(
 _BAND_BLOCK = 1 << 20
 
 
-def _band_values(first, span, step, values_at):
+def _band_values(first, span, step, values_at, dims):
     """Values at offset k - first.min(), from one ``values_at`` call on every k that occurs.
 
-    Irreducibles that do not occur hold 0j; the array ends with at least
-    one such slot.
+    With ``dims`` each value is multiplied by dims(k) in this table, never
+    in the array ``values_at`` returned.  Irreducibles that do not occur
+    hold 0j; the array ends with at least one such slot.
     """
     lo = int(first.min())
     last = first + step * span
@@ -772,18 +782,31 @@ def _band_values(first, span, step, values_at):
     # cumulative count per class marks the irreducibles some pair covers.
     cover = np.bincount(first - lo, minlength=size) - np.bincount(last - lo + step, minlength=size)
     offsets = np.flatnonzero(cover.reshape(-1, step).cumsum(axis=0).ravel())
+    del cover  # a count per slot, freed before the table takes as many
     table = np.zeros(size, dtype=complex)
     table[offsets] = values_at((offsets + lo).tolist())
-    return lo, offsets, table
+    if dims is not None:
+        table[offsets] *= dims(offsets + lo)
+    return lo, table
 
 
-def _band_ring(first, span, step, values_at):
-    """Multiplicity-one progressions summed from running sums per first irreducible."""
-    lo, _, values = _band_values(first, span, step, values_at)
+def _band_ring(first, span, step, values_at, dims):
+    """Multiplicity-one progressions summed from running sums per first irreducible.
+
+    Entry p is the sum from 0j of value(k), or of dims(k) value(k) when
+    ``dims`` is given, over k = first[p] + step t for t = 0 .. span[p], in
+    ascending k.
+    """
+    lo, values = _band_values(first, span, step, values_at, dims)
     # Multiplicity 1 times value(k) by the per-pair complex multiply, which
     # fixes the bits of non-finite values.
     terms = np.ones(len(values), dtype=int) * values
-    starts, row = np.unique(first, return_inverse=True)
+    # The distinct starts in ascending order, and the row of each pair's, by
+    # marking the start offsets: no sort.
+    mark = np.zeros(int(first.max()) - lo + 1, dtype=bool)
+    mark[first - lo] = True
+    starts = np.flatnonzero(mark)
+    row = (np.cumsum(mark) - 1)[first - lo]
     top = np.zeros(len(starts), dtype=int)
     np.maximum.at(top, row, span)
     # Row t + 1 - t0 of a block holds, per start, the sum of its terms 0 .. t.
@@ -794,7 +817,7 @@ def _band_ring(first, span, step, values_at):
     running = np.zeros((width + 1, len(starts)), dtype=complex)
     for t0 in range(0, end, width):
         t = np.arange(t0, min(t0 + width, end))[:, None]
-        index = np.where(t <= top, starts - lo + step * t, len(terms) - 1)
+        index = np.where(t <= top, starts + step * t, len(terms) - 1)
         running[0] = running[-1]
         block = running[: len(t) + 1]
         # Every index is in range; "clip" only spares take a buffered copy.
@@ -804,32 +827,6 @@ def _band_ring(first, span, step, values_at):
         here = (t0 <= span) & (span < t0 + width)
         out[here] = block[span[here] + (1 - t0), row[here]]
     return out
-
-
-def _band_normalized(dual, first, span, step, scale, values_at):
-    """Per-entry terms (scale d_k) value(k), added to the pairs that still have a t-th."""
-    lo, offsets, values = _band_values(first, span, step, values_at)
-    dims = np.zeros(len(values))
-    dims[offsets] = dual.dims(offsets + lo)
-    # Pairs with a t-th term are a prefix of the order by descending span.
-    live = np.cumsum(np.bincount(span)[::-1])[::-1]
-    order = np.argsort(-span, kind="stable")
-    index = first[order]
-    index -= lo
-    scale = scale[order]
-    acc = np.zeros(len(first), dtype=complex)
-    coefficient, term = np.empty_like(scale), np.empty_like(acc)
-    for n in live.tolist():
-        # Every index is in range; "clip" only spares take a buffered copy.
-        np.take(dims, index[:n], out=coefficient[:n], mode="clip")
-        np.multiply(scale[:n], coefficient[:n], out=coefficient[:n])
-        np.take(values, index[:n], out=term[:n], mode="clip")
-        np.multiply(coefficient[:n], term[:n], out=term[:n])
-        np.add(acc[:n], term[:n], out=acc[:n])
-        index[:n] += step
-    # The term buffer is free now; it takes the sums back in window order.
-    term[order] = acc
-    return term
 
 
 def conjugate_vector(dual: DualStructure, m: DualVector) -> DualVector:

@@ -523,7 +523,10 @@ def check_hypergroup_stationarity(
     of the point mass at the first label with the point mass at the
     conjugate of the second.  With the representation-ring convolution
     this is the same condition as :func:`check_stationarity`; with the
-    dimension-normalized convolution it is a genuinely different one.
+    dimension-normalized convolution it is a genuinely different one, and
+    the right-hand side is 1 / (d_a d_b) times the representation-ring sum
+    of d_k C(k), at the cost of a ring check (see
+    :func:`~dualfield.dual_hypergroup.pair_matrix`).
     """
     return _check_pairs(f"stathyp:{kind}", dual, covariance, labels, kind, tol)
 

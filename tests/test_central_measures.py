@@ -52,6 +52,15 @@ class TestFourier:
         for n in range(5):
             assert atom.fourier(n) == pytest.approx(n + 1)
 
+    def test_su2_haar_is_its_one_term_series(self, su2):
+        # The density 1 is chi_0: the transform is exactly delta_0, at every label.
+        haar = parse_measure_spec(su2, "haar")
+        assert haar.total_mass() == 1.0
+        assert haar.fourier(0) == 1.0
+        assert all(haar.fourier(n) == 0j for n in range(1, 10**5 + 1))
+        for name in ("_points", "_weighted_density", "_point_characters"):
+            assert not hasattr(haar, name)
+
     def test_torus_variants(self, torus):
         haar = parse_measure_spec(torus, "haar")
         for n in range(-3, 4):
@@ -426,8 +435,8 @@ def test_weyl_quadrature_orthonormality():
 def ref_su2_fourier(measure, n):
     """The transform at one label, with its own recurrence run up to n.
 
-    A heat-kernel measure is its character series: the reference is the
-    series coefficient, and 0 past the truncation order.
+    A character-series measure (heat kernel, SU(2) Haar) is its series: the
+    reference is the series coefficient, and 0 past the truncation order.
     """
     if hasattr(measure, "series_coefficients"):
         return complex(measure.series_coefficients[n]) if n <= measure.truncation_order else 0j
@@ -490,7 +499,7 @@ class TestCharacterTables:
         assert n < len(dual._node_characters) <= 2 * n + 1
 
     def test_table_growth_doubles(self):
-        measure = parse_measure_spec(su2_dual(), "haar")
+        measure = SU2_MEASURES["atoms and density"]()
         sizes = []
         for n in range(70):
             measure.fourier(n)

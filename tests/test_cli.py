@@ -663,7 +663,7 @@ class TestWindowLimits:
             ["--labels", "1000000000..1000000003", "whitenoise"],
             ["--labels", "3,1000000000", "ar1:0.5,0"],
             ["--labels", "1000000..1000003", "--kind", "normalized", "whitenoise"],
-            ["--labels", "40000..40003", "kolmogorov:heat:0.3"],
+            ["--labels", "600000..600003", "kolmogorov:heat:0.3"],
         ],
     )
     def test_high_su2_labels_refused_at_once(self, capsys, monkeypatch, argv):
@@ -865,6 +865,29 @@ class TestCheckCoveredMemory:
         capsys.readouterr()
         assert code in (0, 1)
         assert peak <= 16 * self.LIMIT, peak / (16 * self.LIMIT)
+        assert run(capsys, *argv(top + 1))[0] == 2
+
+    def test_normalized_check_at_the_largest_label(self, capsys):
+        # The normalized kind runs the ring kernel, so at the top of the default
+        # limit it holds what it is counted for, as white noise does.
+        top = 524287
+        covered = 2 * top + 1
+
+        def argv(top):
+            labels = f"--labels={top - 3}..{top}"
+            return ["check", "--dual", "su2", labels, "--kind", "normalized", "whitenoise"]
+
+        # A small call first loads what numpy and the package load lazily.
+        assert run(capsys, *argv(3))[0] == 1
+        tracemalloc.start()
+        try:
+            code = main(argv(top))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 1
+        assert peak <= 16 * cli.PEAK_PER_IRREDUCIBLE * covered, peak / covered
         assert run(capsys, *argv(top + 1))[0] == 2
 
 

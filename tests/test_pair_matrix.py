@@ -6,9 +6,13 @@ and ``KolmogorovField.second_moment`` used to carry, and the per-pair sum
 that ``pair_matrix`` replaced with one masked array add per irreducible.
 The package must reproduce them bit for bit: the same terms added in the
 same order give the same reports (witness order included), Gram
-matrices, moments and pair matrices.
+matrices, moments and pair matrices.  A normalized entry is the
+representation-ring sum of d_k value(k) with each part times
+1 / (d_a d_b); it stays within a summation bound of ``convolve``'s
+per-term sum.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -38,6 +42,7 @@ from dualfield import (
     translate,
     white_noise,
 )
+from dualfield import dual_hypergroup
 from dualfield.dual_hypergroup import pair_grid, pair_matrix
 
 KINDS = ("statdef", "representation_ring", "normalized")
@@ -86,15 +91,7 @@ def ref_check_hypergroup_stationarity(dual, covariance, labels, kind, tol=1e-12)
     for a in labels:
         for b in labels:
             lhs = complex(covariance(a, b))
-            mixed = convolve(
-                dual,
-                DualVector.point_mass(a),
-                DualVector.point_mass(dual.conjugate(b)),
-                kind,
-            )
-            rhs = complex(
-                sum(coeff * complex(covariance(k, epsilon)) for k, coeff in mixed.items())
-            )
+            rhs = ref_pair_sum(dual, a, b, lambda k: covariance(k, epsilon), kind)
             pairs.append((a, b, lhs, rhs))
     return ref_build_report(f"stathyp:{kind}", pairs, tol)
 
@@ -115,22 +112,39 @@ def ref_kolmogorov_second_moment(field, a, b):
     return complex(sum(mult * field.measure.fourier(k) for k, mult in vec.items()))
 
 
+def ref_pair_sum(dual, a, b, value, kind):
+    """Sum of m_k value(k) over a (x) conj(b) from 0j in ascending k.
+
+    Normalized: that sum of d_k value(k), d_k times value(k) as a complex
+    product, as numpy multiplies an integer array into a complex one; then
+    its real and imaginary parts each times 1 / (d_a d_b).
+    """
+    terms = dual.tensor(a, dual.conjugate(b)).items()
+    if kind == "representation_ring":
+        return complex(sum(m * complex(value(k)) for k, m in terms))
+    ring = sum(m * (complex(dual.dim(k)) * complex(value(k))) for k, m in terms)
+    scale = 1.0 / (dual.dim(a) * dual.dim(b))
+    return complex(scale * ring.real, scale * ring.imag)
+
+
 def ref_pair_matrix(dual, labels, value, kind):
-    """One DualVector per pair: the tensor product or the convolution of deltas."""
-    rows = []
+    """One per-pair sum per entry."""
+    return np.array(
+        [[ref_pair_sum(dual, a, b, value, kind) for b in labels] for a in labels], dtype=complex
+    )
+
+
+def convolve_pair_sums(dual, labels, value, kind):
+    """Per pair: convolve's per-term sum of c_k value(k), sum |c_k value(k)| and the term count."""
+    out = []
     for a in labels:
-        row = []
         for b in labels:
-            b_bar = dual.conjugate(b)
-            if kind == "representation_ring":
-                terms = dual.tensor(a, b_bar)
-            else:
-                terms = convolve(
-                    dual, DualVector.point_mass(a), DualVector.point_mass(b_bar), kind
-                )
-            row.append(complex(sum(c * complex(value(k)) for k, c in terms.items())))
-        rows.append(row)
-    return np.array(rows, dtype=complex)
+            mixed = convolve(
+                dual, DualVector.point_mass(a), DualVector.point_mass(dual.conjugate(b)), kind
+            )
+            terms = [c * complex(value(k)) for k, c in mixed.items()]
+            out.append((complex(sum(terms)), sum(abs(t) for t in terms), len(terms)))
+    return out
 
 
 def run_check(check, dual, oracle, labels, tol):
@@ -529,3 +543,73 @@ class TestBandKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The normalized kind: the ring kernel on d_k value(k), scaled once
+# ---------------------------------------------------------------------------
+
+
+def assert_near_convolve(labels, value):
+    """Normalized entries within 4 (n + 2) 2**-53 sum |c_k value(k)| of convolve's sums.
+
+    n is the pair's number of terms.  This is a summation bound gamma_n
+    sum |x_i| (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 4.2) with room for the products and the scale; one smallest
+    subnormal per operation allows for gradual underflow.
+    """
+    got = pair_matrix(SU2, labels, value, "normalized").ravel()
+    sums = convolve_pair_sums(SU2, labels, value, "normalized")
+    for entry, (want, size, n) in zip(got, sums):
+        assert abs(entry - want) <= 4 * (n + 2) * (2.0**-53 * size + 2.0**-1074)
+
+
+class TestNormalizedKind:
+    @pytest.mark.parametrize(
+        "name", ["ar1 0.9", "ar1 0.5+0.6i", "ar1 1.2", "heat 0.01", "random"]
+    )
+    @pytest.mark.parametrize("n", [0, 1, 8, 31, 48])
+    def test_windows_near_convolve(self, name, n):
+        rng = np.random.default_rng(48)
+        table = rng.standard_normal(97) + 1j * rng.standard_normal(97)
+        oracles = {
+            "ar1 0.9": ar1_second_moment_oracle(0.9),
+            "ar1 0.5+0.6i": ar1_second_moment_oracle(0.5 + 0.6j),
+            "ar1 1.2": ar1_second_moment_oracle(1.2),
+            "heat 0.01": kolmogorov_field(heat_kernel_measure(0.01)).second_moment,
+            "random": lambda k, _: table[k],
+        }
+        oracle = oracles[name]
+        assert_near_convolve(range(n + 1), lambda k: oracle(k, 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(labels=SPARSE_SU2, table=TABLE, block=st.sampled_from([1, 2, 7, 50, 1 << 20]))
+    def test_sparse_windows_near_convolve(self, labels, table, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("dualfield.dual_hypergroup._BAND_BLOCK", block)
+            assert_near_convolve(labels, cyclic_value(table))
+
+    @pytest.mark.parametrize("dual, labels", [(SU2, [1]), (FINITE["s3"], [2])])
+    def test_scaled_part_that_underflows(self, dual, labels):
+        # A quarter of the smallest subnormal rounds to -0.0.  A complex multiply
+        # by (1/4, 0) may fuse it with 0 * imag = -0.0 and give +0.0 instead.
+        def value(k):
+            return complex(-5e-324, -1.0) if k == 0 else complex(-0.0, -0.0)
+
+        got = pair_matrix(dual, labels, value, "normalized")
+        assert got.tobytes() == ref_pair_matrix(dual, labels, value, "normalized").tobytes()
+        assert math.copysign(1.0, got[0, 0].real) == -1.0
+
+    def test_one_ring_kernel_call(self, monkeypatch):
+        calls = []
+        ring = dual_hypergroup._band_ring
+
+        def counting(*args):
+            calls.append(args)
+            return ring(*args)
+
+        monkeypatch.setattr(dual_hypergroup, "_band_ring", counting)
+        got = pair_matrix(SU2, range(9), complex, "normalized")
+        assert len(calls) == 1
+        assert got.tobytes() == ref_pair_matrix(SU2, range(9), complex, "normalized").tobytes()
+        assert not hasattr(dual_hypergroup, "_band_normalized")
