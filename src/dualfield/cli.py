@@ -307,7 +307,7 @@ def _top_label(dual: DualStructure, text: str | None, bound: int | None) -> int:
     return bound or 0
 
 
-def _covered_size(dual: DualStructure, field: FieldSampler, top: int) -> int:
+def _covered_size(field: FieldSampler, top: int) -> int:
     """Complex values' worth of memory a ``check`` holds for the SU(2) irreducibles 0 .. 2 * top."""
     per_irreducible = PEAK_PER_IRREDUCIBLE
     if isinstance(field, KolmogorovField) and isinstance(field.measure, SU2AngleMeasure):
@@ -408,7 +408,7 @@ def cmd_check(args):
         )
     if isinstance(dual, SU2Dual):
         top = _top_label(dual, args.labels, args.bound)
-        covered = _covered_size(dual, field, top)
+        covered = _covered_size(field, top)
         if covered > DRAW_LIMIT:
             raise ValueError(
                 f"check pairs up to label {top} cover {2 * top + 1} irreducibles, which would "

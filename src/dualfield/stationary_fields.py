@@ -239,12 +239,7 @@ class KolmogorovField(FieldSampler):
         return complex(sum(c * complex(self._fourier(k)) for k, c in terms.items()))
 
     def second_moment_matrix(self, labels, columns=None):
-        transform = per_label(self._fourier)
-        rows, cols = self._window(labels, columns)
-        if cols.tolist() == [self.dual.neutral]:
-            # k (x) conj(neutral) = k once: each entry is 0 + 1 * transform(k).
-            return (1 * transform(rows.tolist()) + 0j)[:, None]
-        return pair_grid(self.dual, rows, None if columns is None else cols, transform)
+        return _transform_matrix(self, labels, columns, per_label(self._fourier))
 
     def covariance(self, label: Label) -> complex:
         """C(label) = E(Y_label conj(Y_neutral)) = transform of the measure."""
@@ -259,7 +254,10 @@ class TranslatedField(FieldSampler):
 
     The value at a label is the decomposable evaluation of the base field
     at the tensor product with the translating label, from one joint draw
-    of the base field.
+    of the base field.  Over white noise, character orthogonality makes
+    E(Y_a conj(Y_b)) the sum of m_{a (x) conj(b)}(k) m_{s (x) conj(s)}(k) for
+    the shift s: the moment matrix is the ring :func:`pair_grid` of the one
+    table k -> m_{s (x) conj(s)}(k), in integers with the bits of ``second_moment``.
     """
 
     def __init__(self, base: FieldSampler, shift: Label):
@@ -296,24 +294,29 @@ class TranslatedField(FieldSampler):
     def second_moment_matrix(self, labels, columns=None):
         if type(self.base).second_moment_matrix is not WhiteNoiseField.second_moment_matrix:
             return super().second_moment_matrix(labels, columns)
-        # Over white noise every term is m1 m2 [k1 == k2], an exact integer:
-        # entry (i, j) is the product of the multiplicity rows of the two labels.
-        # One ``tensor`` per distinct label keeps the table as wide as the
-        # irreducibles that occur, however far apart the labels are.
-        rows, cols = self._window(labels, columns)
-        both = rows if columns is None else np.concatenate([rows, cols])
-        distinct, at = np.unique(both, return_inverse=True)
-        shifted = [self._shifted(x) for x in distinct.tolist()]
-        column = {k: j for j, k in enumerate(sorted({k for v in shifted for k in v.support}))}
-        counts = np.zeros((len(shifted), len(column)), dtype=int)
-        for i, vector in enumerate(shifted):
-            for k, m in vector.items():
-                counts[i, column[k]] = int(m.real)
-        counts = counts[at]
-        return (counts[: len(rows)] @ counts[len(both) - len(cols) :].T).astype(complex)
+        square = self.dual.tensor(self.shift, self.dual.conjugate(self.shift))
+        support, mult = (np.array(x) for x in zip(*sorted(square.items())))
+
+        def values_at(ks):
+            """m_{s (x) conj(s)}(k), 0j where k does not occur."""
+            at = np.minimum(np.searchsorted(support, ks), len(support) - 1)
+            return np.where(support[at] == ks, mult[at], 0j)
+
+        return _transform_matrix(self, labels, columns, values_at)
 
     def reseeded(self, seed):
         return TranslatedField(self.base.reseeded(seed), self.shift)
+
+
+def _transform_matrix(field: FieldSampler, labels, columns, transform) -> np.ndarray:
+    """Entry (a, b) is sum_k m_{a (x) conj(b)}(k) transform(k): the ring :func:`pair_grid`.
+
+    The neutral column alone is the transform: k (x) conj(neutral) is k once.
+    """
+    rows, cols = field._window(labels, columns)
+    if cols.tolist() == [field.dual.neutral]:
+        return (1 * transform(rows.tolist()) + 0j)[:, None]
+    return pair_grid(field.dual, rows, None if columns is None else cols, transform)
 
 
 def white_noise(dual: DualStructure, seed=0) -> WhiteNoiseField:

@@ -130,7 +130,8 @@ def ar1_second_moment_oracle(lam: complex) -> Callable[[Label, Label], complex]:
     """Exact two-index covariance oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2})).
 
     ``oracle.matrix(labels, columns=None)`` gives it over labels x columns
-    (the labels squared by default), bit for bit.
+    (the labels squared by default), bit for bit: Python's complex pow once
+    per distinct lag, and 1 - |lam|^{2 min + 2} once per row and column label.
     """
 
     def oracle(n1: Label, n2: Label) -> complex:
@@ -145,16 +146,20 @@ def ar1_second_moment_oracle(lam: complex) -> Callable[[Label, Label], complex]:
             raise ValueError("indices must be nonnegative")
         z = complex(lam)
         r2 = abs(z) ** 2
-        low = np.minimum(n[:, None], m[None, :])
         power = _per_distinct(np.abs(n[:, None] - m[None, :]), lambda h: z**h)
         x, y = power.real, power.imag
         # ar1_covariance's mixed arithmetic on the parts: Python (before 3.14)
         # promotes the real operand to complex, and numpy's complex division
         # would round differently.
         if abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:
-            scale = (low + 1).astype(float)
+            scale = (np.minimum(n[:, None], m[None, :]) + 1).astype(float)
             return _hermitian(scale * x - 0.0 * y, scale * y + 0.0 * x, n, m)
-        tail = _per_distinct(low, lambda t: 1.0 - r2 ** (t + 1))
+        # Each label clipped to the largest min it can be: past it, the pow could overflow.
+        row = [1.0 - r2 ** (t + 1) for t in np.minimum(n, m.max(initial=0)).tolist()]
+        col = row if columns is None else [
+            1.0 - r2 ** (t + 1) for t in np.minimum(m, n.max(initial=0)).tolist()
+        ]
+        tail = np.where(n[:, None] <= m[None, :], np.array(row)[:, None], np.array(col)[None, :])
         re, im = x * tail - y * 0.0, x * 0.0 + y * tail
         d = 1.0 - r2
         ratio = 0.0 / d
@@ -260,7 +265,8 @@ def ma_second_moment_oracle(beta: Sequence[complex]) -> Callable[[Label, Label],
     """Exact steady-regime oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2})).
 
     ``oracle.matrix(labels, columns=None)`` gives it over labels x columns
-    (the labels squared by default), bit for bit.
+    (the labels squared by default), bit for bit, read from the q + 2 values
+    gamma(0) .. gamma(q) and the 0j of every lag past q.
     """
     beta = tuple(complex(b) for b in beta)
 
@@ -272,8 +278,8 @@ def ma_second_moment_oracle(beta: Sequence[complex]) -> Callable[[Label, Label],
     def matrix(labels: Sequence[Label], columns: Sequence[Label] | None = None) -> np.ndarray:
         n = _indices(labels)
         m = n if columns is None else _indices(columns)
-        lag = np.abs(n[:, None] - m[None, :])
-        gamma = _per_distinct(lag, lambda h: ma_covariance(beta, h))
+        table = np.array([ma_covariance(beta, h) for h in range(len(beta))] + [0j])
+        gamma = table[np.minimum(np.abs(n[:, None] - m[None, :]), len(beta))]
         return _hermitian(gamma.real, gamma.imag, n, m)
 
     oracle.matrix = matrix

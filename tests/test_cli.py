@@ -681,7 +681,7 @@ class TestWindowLimits:
         su2 = resolve_dual("su2")
         for spec in ("whitenoise", "kolmogorov:heat:0.3"):
             field = cli.parse_field_spec(su2, spec, 0)
-            monkeypatch.setattr(cli, "DRAW_LIMIT", cli._covered_size(su2, field, 1000))
+            monkeypatch.setattr(cli, "DRAW_LIMIT", cli._covered_size(field, 1000))
             assert run(capsys, "check", "--dual", "su2", "--labels", "998..1000", spec)[0] == 0
             assert run(capsys, "check", "--dual", "su2", "--labels", "1001,999", spec)[0] == 2
         # A torus check covers one difference a - b per pair and is not counted this way.
@@ -847,9 +847,9 @@ class TestCheckCoveredMemory:
         monkeypatch.setattr(cli, "DRAW_LIMIT", self.LIMIT)
         su2 = resolve_dual("su2")
         field = cli.parse_field_spec(su2, spec, 0)
-        top = (self.LIMIT // cli._covered_size(su2, field, 0) - 1) // 2
-        assert cli._covered_size(su2, field, top) <= self.LIMIT
-        assert cli._covered_size(su2, field, top + 1) > self.LIMIT
+        top = (self.LIMIT // cli._covered_size(field, 0) - 1) // 2
+        assert cli._covered_size(field, top) <= self.LIMIT
+        assert cli._covered_size(field, top + 1) > self.LIMIT
 
         def argv(top):
             return ["check", "--dual", "su2", f"--labels={top - 3}..{top}", "--kind", kind, spec]

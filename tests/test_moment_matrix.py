@@ -11,6 +11,7 @@ order and ``max_violation`` included.
 
 import cmath
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -20,8 +21,10 @@ from hypothesis import strategies as st
 
 from dualfield import (
     FiniteClassMeasure,
+    LabelDomainError,
     StationarityReport,
     SU2AngleMeasure,
+    TorusAngleMeasure,
     WhiteNoiseField,
     Witness,
     ar1_field,
@@ -39,7 +42,7 @@ from dualfield import (
     white_noise,
 )
 from dualfield.cli import main
-from dualfield.dual_hypergroup import SU2Dual, pair_matrix
+from dualfield.dual_hypergroup import FiniteGroupDual, SU2Dual, TorusDual, pair_matrix
 from dualfield.stationary_fields import (
     KolmogorovField,
     TranslatedField,
@@ -409,8 +412,8 @@ class TestLabelsValidatedOnce:
         ],
     )
     def test_array_sources_validate_no_label_alone(self, monkeypatch, check, make):
-        # Translated fields are left out: their counts come from ``tensor``, once
-        # per distinct label, and ``tensor`` validates its labels.
+        # Translated fields are left out: their one ``tensor`` call, on the
+        # shift, validates its labels.
         field = make()
         calls = []
         original = SU2Dual.validate_label
@@ -422,6 +425,119 @@ class TestLabelsValidatedOnce:
         monkeypatch.setattr(SU2Dual, "validate_label", counted)
         run_check(check, SU2, field.second_moment, range(21), 1e-12)
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Window kernels: translated white noise, MA from its lags, AR per label
+# ---------------------------------------------------------------------------
+
+TORUS = torus_dual()
+
+
+def windows(labels):
+    """Rows x columns windows: unsorted, repeated, rows != columns, the neutral column."""
+    a, b, c = labels[::2], labels[::-1], labels[1::3] * 2
+    return [(a, None), (b, None), (a, b), (c, a), (b, c), (b, [0]), (c, [0])]
+
+
+def same_as_per_pair(oracle, matrix, rows, columns):
+    want = pairwise_matrix(oracle, rows, columns)
+    return matrix(rows, columns).tobytes() == want.tobytes()
+
+
+class TestWindowKernels:
+    @pytest.mark.parametrize(
+        "dual, labels, shifts",
+        [
+            (SU2, [4, 0, 7, 2, 2, 9, 1, 5], range(5)),
+            (TORUS, [-3, 4, 0, 7, -3, 1, -6, 2], range(-3, 4)),
+            (S3, [2, 0, 1, 1, 0, 2, 2, 1], S3.labels()),
+            (Q8, [4, 0, 3, 1, 2, 2, 4, 0], Q8.labels()),
+        ],
+        ids=lambda x: getattr(x, "name", None),
+    )
+    def test_translated_white_noise_has_the_per_pair_bits(self, dual, labels, shifts):
+        assert dual.neutral in shifts
+        for shift in shifts:
+            field = translate(white_noise(dual), shift)
+            for rows, columns in windows(labels):
+                assert same_as_per_pair(
+                    field.second_moment, field.second_moment_matrix, rows, columns
+                ), (shift, rows, columns)
+
+    @pytest.mark.parametrize("q", range(4))
+    def test_ma_has_the_per_pair_bits_past_lag_q(self, q):
+        beta = [cmath.rect(0.4 + 0.3 * k, 1.1 * k - 0.2) for k in range(q + 1)]
+        oracle = ma_second_moment_oracle(beta)
+        for rows, columns in windows([9, 0, 3, 12, 1, 1, 6, 4, 2]):
+            assert same_as_per_pair(oracle, oracle.matrix, rows, columns), (rows, columns)
+
+    @pytest.mark.parametrize("lam", [0.5, -0.9 + 0.2j, 1.0, -1.0, cmath.rect(1.0, 2.0), 1.2j])
+    def test_ar1_has_the_per_pair_bits(self, lam):
+        oracle = ar1_second_moment_oracle(lam)
+        for rows, columns in windows([9, 0, 3, 12, 1, 1, 6, 4, 2]):
+            assert same_as_per_pair(oracle, oracle.matrix, rows, columns), (rows, columns)
+
+    def test_ar1_outside_the_circle_pows_only_the_tails_it_reads(self):
+        # 1.44**2001 overflows a float; no entry of 2000 x 1000 has min 2000.
+        oracle = ar1_second_moment_oracle(1.2)
+        assert same_as_per_pair(oracle, oracle.matrix, [2000], [1000])
+        with pytest.raises(OverflowError):
+            oracle.matrix([2000])
+
+    @pytest.mark.parametrize(
+        "cls, dual, shift",
+        [(SU2Dual, SU2, 2), (TorusDual, TORUS, -3), (FiniteGroupDual, Q8, 4)],
+    )
+    def test_translated_matrix_makes_one_tensor_call(self, monkeypatch, cls, dual, shift):
+        calls = []
+        original = cls.tensor
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return original(self, a, b)
+
+        monkeypatch.setattr(cls, "tensor", counted)
+        field = translate(white_noise(dual), shift)
+        labels = dual.labels()[::-1] if dual.is_finite else [3, 0, 1, 3]
+        for columns in (None, [dual.neutral], labels[:2]):
+            calls.clear()
+            field.second_moment_matrix(labels, columns)
+            assert calls == [(shift, dual.conjugate(shift))]
+        calls.clear()
+        check_stationarity(dual, field.second_moment, labels)
+        assert len(calls) == 2
+
+    def test_translated_check_at_large_labels_stays_small(self):
+        # The table of the shift, not of the irreducibles the window covers.
+        field = translate(white_noise(SU2), 2)
+        tracemalloc.start()
+        try:
+            report = check_stationarity(SU2, field.second_moment, range(5000, 5004))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.max_violation == 0.0
+        assert peak <= 16 * 2**20
+
+    def test_translated_torus_window_is_bounded_as_kolmogorov_fields_are(self):
+        # Labels of 2**62 or more are refused by the pair sum, as for any array source.
+        labels = [2**62 + 1, 2**62 + 5]
+        atom = TorusAngleMeasure(atoms=[(0.4, 1.0)], dual=TORUS)
+        for field in (translate(white_noise(TORUS), 3), kolmogorov_field(atom)):
+            with pytest.raises(LabelDomainError, match="not below 2\\*\\*62"):
+                field.second_moment_matrix(labels)
+
+    def test_translated_torus_check_reads_far_differences_as_zero(self):
+        # a - b reaches 2**63 - 2, and a - b + 3 does not fit in int64; the
+        # translation is a bijection, so C(k) = [k == 0] needs no shifted label.
+        field = translate(white_noise(TORUS), 3)
+        labels = [2**62 - 1, -(2**62 - 1), 0]
+        column = field.second_moment_matrix([2**63 - 2, -(2**63 - 2), 0], [0])
+        assert column.tobytes() == np.array([[0j], [0j], [1 + 0j]]).tobytes()
+        for check in KINDS:
+            report = run_check(check, TORUS, field.second_moment, labels, 1e-12)
+            assert report.passed and report.max_violation == 0.0
 
 
 # ---------------------------------------------------------------------------
