@@ -38,6 +38,8 @@ from .errors import (
 
 NEGATIVE_WEIGHT_TOL = 1e-10
 HEAT_SERIES_TAIL = 1e-14
+# Longest heat series kept: sampling evaluates (order + 1) x 8193 characters, 16.8 MB at 256.
+HEAT_SERIES_MAX_ORDER = 256
 _SAMPLING_GRID = 8192
 _TORUS_GRID = 2048  # uniform points of the torus density's transform
 
@@ -217,7 +219,7 @@ class SU2AngleMeasure(_AngleMeasure):
         super().__init__(atoms, density, description)
         # fourier reads the characters at the atoms followed by the quadrature
         # nodes from one table, built on its first call and grown as needed.
-        nodes = weyl_quadrature(self.dual.quadrature_nodes)[0] if density is not None else ()
+        nodes = weyl_quadrature()[0] if density is not None else ()
         self._points = np.concatenate([[t for t, _ in self.atoms], nodes])
         self._atom_weights = np.array([w for _, w in self.atoms])
         self._point_characters = np.empty((0, 0))
@@ -236,7 +238,7 @@ class SU2AngleMeasure(_AngleMeasure):
         self._weighted_density = None
         if self.density is None:
             return 0.0
-        theta, weights = weyl_quadrature(self.dual.quadrature_nodes)
+        theta, weights = weyl_quadrature()
         self._weighted_density = weights * np.asarray(self.density(theta), dtype=float)
         return float(self._weighted_density.sum())
 
@@ -318,6 +320,13 @@ class TorusAngleMeasure(_AngleMeasure):
         return np.exp(np.multiply.outer(1j * rows, np.asarray(coordinates)))
 
 
+class _TorusHaarMeasure(TorusAngleMeasure):
+    """Haar on the torus, the density 1: its transform is 1 at label 0 and 0 elsewhere."""
+
+    def fourier(self, label: Label) -> complex:
+        return 1 + 0j if self.dual.validate_derived_label(label) == 0 else 0j
+
+
 # ---------------------------------------------------------------------------
 # Heat kernel
 # ---------------------------------------------------------------------------
@@ -355,7 +364,7 @@ def heat_kernel_transform(t: float, n: int) -> float:
     return (n + 1) * math.exp(-t * n * (n + 2))
 
 
-def heat_kernel_measure(t: float, quadrature_nodes: int = 256) -> SU2AngleMeasure:
+def heat_kernel_measure(t: float) -> SU2AngleMeasure:
     """Gaussian (heat kernel) central probability measure on SU(2) at time t.
 
     The density against the normalized Weyl measure is the character
@@ -366,8 +375,8 @@ def heat_kernel_measure(t: float, quadrature_nodes: int = 256) -> SU2AngleMeasur
     series: the transform at label n is coefficient n up to the
     truncation order and 0 past it, and the mass is coefficient 0, which
     is 1, so no quadrature rule is built; the density is evaluated only
-    to sample.  A truncation order above ``quadrature_nodes``, past what
-    that many nodes integrate correctly, raises :class:`ValueError`.
+    to sample.  A truncation order above ``HEAT_SERIES_MAX_ORDER`` raises
+    :class:`ValueError`.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"heat kernel time must be finite and positive, got {t}")
@@ -378,16 +387,13 @@ def heat_kernel_measure(t: float, quadrature_nodes: int = 256) -> SU2AngleMeasur
         # |chi_n| <= n + 1, so this bounds the term uniformly in the angle.
         if n > 0 and coeff * (n + 1) < HEAT_SERIES_TAIL:
             break
-        if n > quadrature_nodes:
-            raise ValueError(
-                f"heat kernel t={t:g}: truncation order exceeds {quadrature_nodes}, "
-                f"past the {quadrature_nodes}-node quadrature rule"
-            )
+        if n > HEAT_SERIES_MAX_ORDER:
+            raise ValueError(f"heat kernel t={t:g}: series order exceeds {HEAT_SERIES_MAX_ORDER}")
         coefficients.append(coeff)
         n += 1
     return _CharacterSeriesMeasure(
         np.asarray(coefficients),
-        su2_dual(quadrature_nodes),
+        su2_dual(),
         f"heat kernel t={t:g} ({len(coefficients)} series terms)",
     )
 
@@ -526,7 +532,7 @@ def parse_measure_spec(dual: DualStructure, text: str) -> CentralMeasure:
             # The density 1 = chi_0: its transform is 1 at label 0 and 0 elsewhere.
             return _CharacterSeriesMeasure(np.ones(1), dual, "haar on su2")
         if isinstance(dual, TorusDual):
-            return TorusAngleMeasure(
+            return _TorusHaarMeasure(
                 density=lambda theta: np.ones_like(theta), dual=dual, description="haar on torus"
             )
         raise CapabilityError(f"haar measure unsupported for dual {dual.name}")

@@ -386,8 +386,7 @@ class SU2Dual(DualStructure):
     name = "su2"
     neutral = 0
 
-    def __init__(self, quadrature_nodes: int = 256):
-        self.quadrature_nodes = quadrature_nodes
+    def __init__(self):
         self._node_characters = np.empty((0, 0))
 
     def validate_label(self, label: Label) -> Label:
@@ -427,7 +426,7 @@ class SU2Dual(DualStructure):
 
     def node_characters(self, n: int) -> np.ndarray:
         """Characters chi_0 .. chi_m, m >= n, at the quadrature nodes."""
-        theta, _ = weyl_quadrature(self.quadrature_nodes)
+        theta, _ = weyl_quadrature()
         table = su2_character_rows(self._node_characters, n, theta)
         self._node_characters = table
         return table
@@ -641,7 +640,7 @@ def multiplicity_by_integration(
         a = dual.validate_label(a)
         b = dual.validate_label(b)
         target = dual.validate_label(target)
-        _, weights = weyl_quadrature(dual.quadrature_nodes)
+        _, weights = weyl_quadrature()
         chars = dual.node_characters(max(a, b, target))
         return float((weights * chars[a] * chars[b] * chars[target]).sum())
     if isinstance(dual, FiniteGroupDual):
@@ -967,5 +966,5 @@ def torus_dual() -> TorusDual:
     return TorusDual()
 
 
-def su2_dual(quadrature_nodes: int = 256) -> SU2Dual:
-    return SU2Dual(quadrature_nodes)
+def su2_dual() -> SU2Dual:
+    return SU2Dual()

@@ -119,55 +119,44 @@ def _indices(labels: Sequence[Label]) -> np.ndarray:
 
 
 def _hermitian(re: np.ndarray, im: np.ndarray, n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Values at n1 >= n2 from their parts, conjugated where n1 < n2, as the oracles branch."""
+    """Values at n1 >= n2 from their parts, conjugated where n1 < n2, as ``SeriesSpec`` branches."""
     out = np.empty(re.shape, dtype=complex)
     out.real = re
     out.imag = np.where(n[:, None] < m[None, :], -im, im)
     return out
 
 
-def ar1_second_moment_oracle(lam: complex) -> Callable[[Label, Label], complex]:
-    """Exact two-index covariance oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2})).
+def ar1_second_moment_oracle(lam: complex) -> SeriesSpec:
+    """Exact two-index covariance oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2})): the AR(1) spec."""
+    return SeriesSpec("ar1", (complex(lam),))
 
-    ``oracle.matrix(labels, columns=None)`` gives it over labels x columns
-    (the labels squared by default), bit for bit: Python's complex pow once
-    per distinct lag, and 1 - |lam|^{2 min + 2} once per row and column label.
-    """
 
-    def oracle(n1: Label, n2: Label) -> complex:
-        if n1 >= n2:
-            return ar1_covariance(lam, n2, n1 - n2)
-        return np.conj(ar1_covariance(lam, n1, n2 - n1))
-
-    def matrix(labels: Sequence[Label], columns: Sequence[Label] | None = None) -> np.ndarray:
-        n = _indices(labels)
-        m = n if columns is None else _indices(columns)
-        if (n.size and n.min() < 0) or (m.size and m.min() < 0):
-            raise ValueError("indices must be nonnegative")
-        z = complex(lam)
-        r2 = abs(z) ** 2
-        power = _per_distinct(np.abs(n[:, None] - m[None, :]), lambda h: z**h)
-        x, y = power.real, power.imag
-        # ar1_covariance's mixed arithmetic on the parts: Python (before 3.14)
-        # promotes the real operand to complex, and numpy's complex division
-        # would round differently.
-        if abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:
-            scale = (np.minimum(n[:, None], m[None, :]) + 1).astype(float)
-            return _hermitian(scale * x - 0.0 * y, scale * y + 0.0 * x, n, m)
-        # Each label clipped to the largest min it can be: past it, the pow could overflow.
-        row = [1.0 - r2 ** (t + 1) for t in np.minimum(n, m.max(initial=0)).tolist()]
-        col = row if columns is None else [
-            1.0 - r2 ** (t + 1) for t in np.minimum(m, n.max(initial=0)).tolist()
-        ]
-        tail = np.where(n[:, None] <= m[None, :], np.array(row)[:, None], np.array(col)[None, :])
-        re, im = x * tail - y * 0.0, x * 0.0 + y * tail
-        d = 1.0 - r2
-        ratio = 0.0 / d
-        denom = d + 0.0 * ratio
-        return _hermitian((re + im * ratio) / denom, (im - re * ratio) / denom, n, m)
-
-    oracle.matrix = matrix
-    return oracle
+def _ar1_matrix(coefficients, n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of AR(1) moments at n1 >= n2 over n x m: Python's complex pow
+    once per distinct lag, and 1 - |lam|^{2 min + 2} once per row and column label."""
+    if (n.size and n.min() < 0) or (m.size and m.min() < 0):
+        raise ValueError("indices must be nonnegative")
+    z = complex(coefficients[0])
+    r2 = abs(z) ** 2
+    power = _per_distinct(np.abs(n[:, None] - m[None, :]), lambda h: z**h)
+    x, y = power.real, power.imag
+    # ar1_covariance's mixed arithmetic on the parts: Python (before 3.14)
+    # promotes the real operand to complex, and numpy's complex division
+    # would round differently.
+    if abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:
+        scale = (np.minimum(n[:, None], m[None, :]) + 1).astype(float)
+        return scale * x - 0.0 * y, scale * y + 0.0 * x
+    # Each label clipped to the largest min it can be: past it, the pow could overflow.
+    row = [1.0 - r2 ** (t + 1) for t in np.minimum(n, m.max(initial=0)).tolist()]
+    col = row if m is n else [
+        1.0 - r2 ** (t + 1) for t in np.minimum(m, n.max(initial=0)).tolist()
+    ]
+    tail = np.where(n[:, None] <= m[None, :], np.array(row)[:, None], np.array(col)[None, :])
+    re, im = x * tail - y * 0.0, x * 0.0 + y * tail
+    d = 1.0 - r2
+    ratio = 0.0 / d
+    denom = d + 0.0 * ratio
+    return (re + im * ratio) / denom, (im - re * ratio) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -261,29 +250,16 @@ def ma_covariance(beta: Sequence[complex], h: int) -> complex:
     return complex((beta[h:] * np.conj(beta[: q - h + 1])).sum())
 
 
-def ma_second_moment_oracle(beta: Sequence[complex]) -> Callable[[Label, Label], complex]:
-    """Exact steady-regime oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2})).
+def ma_second_moment_oracle(beta: Sequence[complex]) -> SeriesSpec:
+    """Exact steady-regime oracle (n1, n2) -> E(Y_{n1} conj(Y_{n2})): the MA(q) spec."""
+    return SeriesSpec("ma", tuple(complex(b) for b in beta))
 
-    ``oracle.matrix(labels, columns=None)`` gives it over labels x columns
-    (the labels squared by default), bit for bit, read from the q + 2 values
-    gamma(0) .. gamma(q) and the 0j of every lag past q.
-    """
-    beta = tuple(complex(b) for b in beta)
 
-    def oracle(n1: Label, n2: Label) -> complex:
-        if n1 >= n2:
-            return ma_covariance(beta, n1 - n2)
-        return np.conj(ma_covariance(beta, n2 - n1))
-
-    def matrix(labels: Sequence[Label], columns: Sequence[Label] | None = None) -> np.ndarray:
-        n = _indices(labels)
-        m = n if columns is None else _indices(columns)
-        table = np.array([ma_covariance(beta, h) for h in range(len(beta))] + [0j])
-        gamma = table[np.minimum(np.abs(n[:, None] - m[None, :]), len(beta))]
-        return _hermitian(gamma.real, gamma.imag, n, m)
-
-    oracle.matrix = matrix
-    return oracle
+def _ma_matrix(beta, n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of MA moments at n1 >= n2 over n x m, from gamma(0) .. gamma(q), 0j."""
+    table = np.array([ma_covariance(beta, h) for h in range(len(beta))] + [0j])
+    gamma = table[np.minimum(np.abs(n[:, None] - m[None, :]), len(beta))]
+    return gamma.real, gamma.imag
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +269,13 @@ def ma_second_moment_oracle(beta: Sequence[complex]) -> Callable[[Label, Label],
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Which process to run: ar1 with one coefficient, or ma with q + 1."""
+    """Which process to run, ar1 with one coefficient or ma with q + 1, and its exact oracle.
+
+    ``spec(n1, n2)`` is E(Y_{n1} conj(Y_{n2})), and ``spec.matrix(labels,
+    columns=None)`` gives it over labels x columns (the labels squared by
+    default), bit for bit.  AR(1) refuses labels below 0; MA answers on all
+    of Z, in its steady regime.
+    """
 
     kind: str  # "ar1" | "ma"
     coefficients: tuple[complex, ...]
@@ -308,7 +290,22 @@ class SeriesSpec:
         if not all(cmath.isfinite(c) for c in self.coefficients):
             raise ValueError(f"{self.kind} coefficients must be finite, got {self.coefficients}")
 
+    def __call__(self, n1: Label, n2: Label) -> complex:
+        n1, n2 = operator.index(n1), operator.index(n2)
+        if self.kind == "ar1":
+            value = ar1_covariance(self.coefficients[0], min(n1, n2), abs(n1 - n2))
+        else:
+            value = ma_covariance(self.coefficients, abs(n1 - n2))
+        return value if n1 >= n2 else value.conjugate()
+
+    def matrix(self, labels: Sequence[Label], columns: Sequence[Label] | None = None) -> np.ndarray:
+        n = _indices(labels)
+        m = n if columns is None else _indices(columns)
+        kernel = _ar1_matrix if self.kind == "ar1" else _ma_matrix
+        return _hermitian(*kernel(self.coefficients, n, m), n, m)
+
     def oracle(self) -> Callable[[Label, Label], complex]:
+        # Through the module-level factories, which a traced run wraps to count oracle calls.
         if self.kind == "ar1":
             return ar1_second_moment_oracle(self.coefficients[0])
         return ma_second_moment_oracle(self.coefficients)

@@ -61,6 +61,17 @@ class TestFourier:
         for name in ("_points", "_weighted_density", "_point_characters"):
             assert not hasattr(haar, name)
 
+    def test_torus_haar_is_exactly_delta_at_every_label(self, torus):
+        # A 2048-point mean of e^{i n theta} reads 1 at every multiple of 2048.
+        haar = parse_measure_spec(torus, "haar")
+        assert haar.fourier(0) == 1
+        assert haar.total_mass() == 1.0
+        for k in range(1, 513):
+            assert haar.fourier(k * 2048) == 0j
+            assert haar.fourier(-k * 2048) == 0j
+        with pytest.raises(LabelDomainError):
+            haar.fourier(2**63)
+
     def test_torus_variants(self, torus):
         haar = parse_measure_spec(torus, "haar")
         for n in range(-3, 4):
@@ -145,13 +156,10 @@ class TestHeatKernel:
         with pytest.raises(ValueError, match="finite"):
             heat_kernel_measure(t)
 
-    def test_series_order_capped_by_quadrature_nodes(self):
+    def test_series_order_capped(self):
         assert heat_kernel_measure(1e-3).truncation_order == 206
-        with pytest.raises(ValueError, match="exceeds 256, past the 256-node"):
+        with pytest.raises(ValueError, match="series order exceeds 256"):
             heat_kernel_measure(1e-9)
-        assert heat_kernel_measure(0.05, quadrature_nodes=64).truncation_order <= 64
-        with pytest.raises(ValueError, match="exceeds 32"):
-            heat_kernel_measure(0.01, quadrature_nodes=32)
 
     @pytest.mark.parametrize("t", [1e-3, 0.05, 1.0])
     def test_transform_is_the_series_coefficient(self, t):
@@ -446,7 +454,7 @@ def ref_su2_fourier(measure, n):
         ws = np.array([w for _, w in measure.atoms])
         total += complex((ws * su2_character_values(n, thetas)[n]).sum())
     if measure.density is not None:
-        theta, weights = weyl_quadrature(measure.dual.quadrature_nodes)
+        theta, weights = weyl_quadrature()
         weighted = weights * np.asarray(measure.density(theta), dtype=float)
         total += complex((weighted * su2_character_values(n, theta)[n]).sum())
     return total
@@ -517,7 +525,7 @@ class TestCharacterTables:
     )
     def test_multiplicity_by_integration_bits(self, triples, fresh):
         dual = su2_dual() if fresh else WARM_SU2
-        theta, weights = weyl_quadrature(dual.quadrature_nodes)
+        theta, weights = weyl_quadrature()
         for a, b, k in triples:
             chars = su2_character_values(max(a, b, k), theta)
             want = float((weights * chars[a] * chars[b] * chars[k]).sum())
@@ -568,7 +576,7 @@ class TestCharacterTables:
         # holding its row, whichever thread's table was assigned last.
         measure = SU2_MEASURES["atoms and density"]()
         dual = su2_dual()
-        theta, weights = weyl_quadrature(dual.quadrature_nodes)
+        theta, weights = weyl_quadrature()
         windows = [list(np.random.default_rng(i).permutation(260)) for i in range(8)]
         want = {n: hex_pair(ref_su2_fourier(measure, n)) for n in range(260)}
         errors = []

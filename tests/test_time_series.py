@@ -22,7 +22,9 @@ from dualfield import (
     white_noise_sequence,
 )
 from dualfield import stationary_fields, time_series
-from dualfield.stationary_fields import _white_noise_rows
+from dualfield.stationary_fields import _white_noise_rows, pairwise_matrix
+
+from dualfield.time_series import SeriesSpec
 
 LAMBDA_GRID = [0.0, 0.5, -0.5, 0.9, np.exp(1j * math.pi / 4), 1j, 2.0]
 
@@ -392,6 +394,61 @@ class TestSeriesFields:
         assert spec.coefficients == (1.0, 1j, 2.0 - 1j)
         with pytest.raises(ValueError):
             parse_series_spec("arma:1,0")
+
+
+class TestSeriesSpecOracle:
+    """The frozen spec is the exact oracle: one ``__call__`` and one ``matrix``."""
+
+    def test_factories_return_the_spec(self):
+        assert ar1_second_moment_oracle(0.5) == parse_series_spec("ar1:0.5,0")
+        assert ma_second_moment_oracle([1, 0.5j]) == parse_series_spec("ma:1,0;0,0.5")
+        assert isinstance(ar1_second_moment_oracle(0.5j), SeriesSpec)
+
+    def test_empty_ma_refused(self):
+        with pytest.raises(ValueError, match="k = 0 coefficient"):
+            ma_second_moment_oracle([])
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [ar1_second_moment_oracle(0.5), ma_second_moment_oracle([1, 0.5])],
+        ids=["ar1", "ma"],
+    )
+    def test_non_integer_labels_refused(self, oracle):
+        with pytest.raises(TypeError):
+            oracle(2.5, 1.0)
+        with pytest.raises(TypeError):
+            oracle(2, 1.0)
+        with pytest.raises(TypeError):
+            oracle.matrix([2.5, 1.0])
+        with pytest.raises(TypeError):
+            oracle.matrix([2], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.1, math.inf)])
+    def test_non_finite_coefficients_refused_when_built(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ar1_second_moment_oracle(bad)
+        with pytest.raises(ValueError, match="finite"):
+            ma_second_moment_oracle([1.0, bad])
+
+    def test_ma_at_negative_labels(self):
+        oracle = ma_second_moment_oracle((1.0, 0.4 - 0.2j, 0.3j))
+        labels = [-7, -2, 0, -3, 4, -1, -1]
+        got = oracle.matrix(labels)
+        assert got.tobytes() == pairwise_matrix(oracle, labels).tobytes()
+        assert oracle(-3, -1) == np.conj(ma_covariance(oracle.coefficients, 2))
+        columns = [0, -5]
+        got = oracle.matrix(labels, columns)
+        assert got.tobytes() == pairwise_matrix(oracle, labels, columns).tobytes()
+
+    def test_ar1_below_zero_refused(self):
+        oracle = ar1_second_moment_oracle(0.5 + 0.2j)
+        for n1, n2 in [(-1, 0), (0, -1), (-2, -2), (3, -1)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                oracle(n1, n2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            oracle.matrix([0, 2, -1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            oracle.matrix([0, 2], [-1])
 
 
 def ar1_path_reference(lam, noise):
