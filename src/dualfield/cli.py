@@ -79,6 +79,9 @@ PEAK_PER_PAIR = 160
 # its checks reach label 524287, as white noise does.
 PEAK_PER_IRREDUCIBLE = 16
 PEAK_PER_POINT = 2
+# What ``tensor`` and ``convolve`` hold per SU(2) tensor component, in complex values:
+# under tracemalloc at labels 4 * 10^5, about 250 bytes in CSV and at most 1150 in JSON.
+PEAK_PER_TERM = 80
 
 
 def _fmt(x: float) -> str:
@@ -195,10 +198,21 @@ def _ensure_seed(args) -> tuple[int, bool]:
 # ---------------------------------------------------------------------------
 
 
+def _refuse_many_terms(dual: DualStructure, pairs, command: str) -> None:
+    """Refuse SU(2) products a (x) b, of min(a, b) + 1 components each, past DRAW_LIMIT."""
+    terms = sum(min(a, b) + 1 for a, b in pairs) if isinstance(dual, SU2Dual) else 0
+    if PEAK_PER_TERM * terms > DRAW_LIMIT:
+        raise ValueError(
+            f"{command} would hold {PEAK_PER_TERM * terms} complex values' worth of {terms} "
+            f"tensor components, over the limit of {DRAW_LIMIT}; use smaller labels"
+        )
+
+
 def cmd_tensor(args):
     dual = resolve_dual(args.dual)
     a = dual.label_from_str(args.a)
     b = dual.label_from_str(args.b)
+    _refuse_many_terms(dual, [(a, b)], "tensor")
     vec = tensor_decompose(dual, a, b)
     product = dual.dim(a) * dual.dim(b)
     total = sum(int(m.real) * dual.dim(k) for k, m in vec.items())
@@ -226,6 +240,7 @@ def cmd_convolve(args):
     dual = resolve_dual(args.dual)
     m1 = parse_vector_spec(dual, args.m1)
     m2 = parse_vector_spec(dual, args.m2)
+    _refuse_many_terms(dual, [(a, b) for a in m1.support for b in m2.support], "convolve")
     out = convolve(dual, m1, m2, args.kind)
     _finite_rows(dual, out.items(), "convolution")
     if args.format == "json":
@@ -253,6 +268,13 @@ def cmd_spectral(args):
         raise ValueError(
             f"spectral window of {count} labels is over the limit of {DRAW_LIMIT}; "
             "narrow --labels or --bound"
+        )
+    top = _top_label(dual, args.labels, args.bound)
+    kept = _point_size(measure, top)
+    if kept > DRAW_LIMIT:
+        raise ValueError(
+            f"spectral transforms up to label {top} would hold {kept} complex values' worth "
+            f"of characters, over the limit of {DRAW_LIMIT}; lower --labels or --bound"
         )
     labels = parse_labels(dual, args.labels, args.bound)
     # An overflowing transform is refused below, naming its label, so it needs no warning.
@@ -307,14 +329,17 @@ def _top_label(dual: DualStructure, text: str | None, bound: int | None) -> int:
     return bound or 0
 
 
+def _point_size(measure, top: int) -> int:
+    """Complex values' worth of SU(2) characters at atoms and nodes kept for labels 0 .. 2 * top."""
+    if not isinstance(measure, SU2AngleMeasure):
+        return 0  # none for a character series (heat, Haar) or another dual
+    return PEAK_PER_POINT * len(getattr(measure, "_points", ())) * (2 * max(top, 0) + 1)
+
+
 def _covered_size(field: FieldSampler, top: int) -> int:
     """Complex values' worth of memory a ``check`` holds for the SU(2) irreducibles 0 .. 2 * top."""
-    per_irreducible = PEAK_PER_IRREDUCIBLE
-    if isinstance(field, KolmogorovField) and isinstance(field.measure, SU2AngleMeasure):
-        # The atoms and quadrature nodes whose characters the transform keeps:
-        # none for a character series (heat, Haar).
-        per_irreducible += PEAK_PER_POINT * len(getattr(field.measure, "_points", ()))
-    return per_irreducible * (2 * max(top, 0) + 1)
+    measure = field.measure if isinstance(field, KolmogorovField) else None
+    return PEAK_PER_IRREDUCIBLE * (2 * max(top, 0) + 1) + _point_size(measure, top)
 
 
 def _draw_size(
@@ -433,15 +458,10 @@ def cmd_cramer(args):
     if not isinstance(dual, FiniteGroupDual):
         raise CapabilityError("the scattered decomposition runs on finite-group duals")
     measure = parse_measure_spec(dual, args.measure)
-    field = kolmogorov_field(measure, seed=0)
-    scattered = cramer_decompose_finite(field)
-    classes = range(dual.data.num_classes)
-    # By bilinearity every subset pair's defect is a sum of class-pair defects.
-    worst = max(
-        abs(scattered.expected_product([a], [b]) - scattered.measure_of({a} & {b}))
-        for a in classes
-        for b in classes
-    )
+    scattered = cramer_decompose_finite(kolmogorov_field(measure, seed=0))
+    w, values = measure.class_weights, scattered.values
+    # E(Gamma({a}) conj Gamma({b})) against mu({a} & {b}); any subset pair's defect sums these.
+    gram = (w * values) @ values.conj().T
     payload = {
         "dual": dual.name,
         "measure": args.measure,
@@ -449,14 +469,14 @@ def cmd_cramer(args):
         "classes": [
             {
                 "class": c,
-                "size": dual.data.class_sizes[c],
-                "mu": float(measure.class_weights[c]),
-                "gamma_second_moment": scattered.second_moment([c]),
+                "size": size,
+                "mu": float(w[c]),
+                "gamma_second_moment": float(gram[c, c].real),
             }
-            for c in classes
+            for c, size in enumerate(dual.data.class_sizes)
         ],
         "reconstruction_residual": scattered.reconstruction_residual(),
-        "max_scattering_violation": worst,
+        "max_scattering_violation": float(np.abs(gram - np.diag(w)).max()),
     }
     return 0, _dumps(payload) + "\n"
 
@@ -475,54 +495,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, samples=False, kind=None, labels=False):
+    options = {
+        "--format": {"choices": ("csv", "json"), "default": "csv"},
+        "--bound": {"type": int, "help": "label window bound"},
+        "--labels": {"help": "explicit labels: a..b or comma list"},
+        "--seed": {"type": int, "help": "RNG seed (recorded if generated)"},
+        "--samples": {"type": int, "help": "Monte Carlo sample count"},
+    }
+
+    def common(p, *names, kind=None):
+        """--dual, --output and the named options: each command registers only what it reads."""
         p.add_argument("--dual", required=True, help="torus | su2 | finite:<name-or-path>")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="write here instead of stdout")
-        p.add_argument("--bound", type=int, help="label window bound")
-        if labels:
-            p.add_argument("--labels", help="explicit labels: a..b or comma list")
-        if seed:
-            p.add_argument("--seed", type=int, help="RNG seed (recorded if generated)")
-        if samples:
-            p.add_argument("--samples", type=int, help="Monte Carlo sample count")
+        for name in names:
+            p.add_argument(name, **options[name])
         if kind:
             p.add_argument("--kind", choices=kind[0], default=kind[1])
 
     p = sub.add_parser("tensor", help="decompose a tensor product of irreducibles")
-    common(p)
+    common(p, "--format")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(handler=cmd_tensor)
 
     p = sub.add_parser("convolve", help="convolve two vectors on the dual")
-    common(p, kind=(("representation_ring", "normalized"), "representation_ring"))
+    common(p, "--format", kind=(("representation_ring", "normalized"), "representation_ring"))
     p.add_argument("m1", help="vector as label:coeff,label:coeff")
     p.add_argument("m2")
     p.set_defaults(handler=cmd_convolve)
 
     p = sub.add_parser("spectral", help="transform of a central measure over a label window")
-    common(p, labels=True)
+    common(p, "--format", "--bound", "--labels")
     p.add_argument("measure", help="haar | heat:<t> | atoms:t:w,... | classes:w,...")
     p.set_defaults(handler=cmd_spectral)
 
     p = sub.add_parser("invert", help="recover class weights from transform values")
-    common(p)
+    common(p, "--format")
     p.add_argument("values", help="comma-separated complex values, one per irreducible")
     p.set_defaults(handler=cmd_invert)
 
     p = sub.add_parser("simulate", help="sample paths or Monte Carlo covariance tables")
-    common(p, seed=True, samples=True)
+    common(p, "--bound", "--seed", "--samples")
     p.add_argument("spec", help="whitenoise | kolmogorov:<measure> | ar1:re,im | ma:...")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("check", help="stationarity checks from exact oracles")
-    common(
-        p,
-        seed=True,
-        labels=True,
-        kind=(("statdef", "representation_ring", "normalized"), "statdef"),
-    )
+    kinds = ("statdef", "representation_ring", "normalized")
+    common(p, "--bound", "--labels", "--seed", kind=(kinds, "statdef"))
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("spec")
     p.set_defaults(handler=cmd_check)

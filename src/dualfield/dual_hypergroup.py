@@ -463,11 +463,11 @@ class FiniteGroupData:
             )
         if sorted(self.inverse_class) != list(range(r)):
             raise DataIntegrityError(f"{self.name}: inverse_class is not a permutation")
-        for c, ic in enumerate(self.inverse_class):
-            if self.inverse_class[ic] != c or self.class_sizes[ic] != self.class_sizes[c]:
-                raise DataIntegrityError(
-                    f"{self.name}: inverse_class is not a size-preserving involution"
-                )
+        inv = np.asarray(self.inverse_class)
+        if (inv[inv] != np.arange(r)).any() or (sizes[inv] != sizes).any():
+            raise DataIntegrityError(
+                f"{self.name}: inverse_class is not a size-preserving involution"
+            )
         if self.inverse_class[0] != 0:
             raise DataIntegrityError(f"{self.name}: identity class must be self-inverse")
         # |chi(g)| <= chi(1) <= sqrt(order).  The bound refuses non-finite values
@@ -496,7 +496,6 @@ class FiniteGroupData:
                 f"{self.name}: character rows are not orthonormal "
                 f"(max deviation {np.abs(gram - np.eye(r)).max():.3g})"
             )
-        inv = list(self.inverse_class)
         if np.abs(chars[:, inv] - chars.conj()).max() > 1e-8:
             raise DataIntegrityError(
                 f"{self.name}: characters on inverse classes do not conjugate"
@@ -531,19 +530,14 @@ class FiniteGroupDual(DualStructure):
 
     def _match_conjugates(self) -> tuple[int, ...]:
         chars = self.data.characters
-        out = []
-        for i in range(self.data.num_classes):
-            matches = [
-                j
-                for j in range(self.data.num_classes)
-                if np.abs(chars[j] - chars[i].conj()).max() <= 1e-8
-            ]
-            if len(matches) != 1:
-                raise DataIntegrityError(
-                    f"{self.name}: conjugate of irreducible {i} is not unique in the table"
-                )
-            out.append(matches[0])
-        return tuple(out)
+        # matches[i, j]: row j is the conjugate of row i.
+        matches = np.abs(chars[None, :, :] - chars.conj()[:, None, :]).max(axis=2) <= 1e-8
+        (bad,) = np.nonzero(matches.sum(axis=1) != 1)
+        if bad.size:
+            raise DataIntegrityError(
+                f"{self.name}: conjugate of irreducible {bad[0]} is not unique in the table"
+            )
+        return tuple(matches.argmax(axis=1).tolist())
 
     def validate_label(self, label: Label) -> Label:
         if not isinstance(label, (int, np.integer)) or not 0 <= label < self.data.num_classes:
@@ -580,18 +574,16 @@ class FiniteGroupDual(DualStructure):
         chars = data.characters
         sizes = np.asarray(data.class_sizes)
         raw = np.einsum("c,ac,bc,kc->abk", sizes, chars, chars, chars.conj()) / data.order
-        raw = raw.tolist()
-        r = data.num_classes
-        out = np.zeros((r, r, r), dtype=int)
-        for a in range(r):
-            for b in range(a, r):
-                out[a, b] = out[b, a] = [
-                    _recover_multiplicity(
-                        raw[a][b][k], f"{self.name}: multiplicity of {k} in {a}x{b}"
-                    )
-                    for k in range(r)
-                ]
-        return out
+        nearest = np.round(raw.real)
+        # N[a, b] = N[b, a] up to rounding, so the entries with a <= b are the ones checked:
+        # once they pass, every N[b, a] lies within ulps of N[a, b] and rounds alike.
+        upper = np.triu(np.ones((data.num_classes,) * 2, dtype=bool))[:, :, None]
+        flagged = upper & ((np.abs(raw - nearest) > ROUNDING_TOL) | (nearest < 0))
+        if flagged.any():
+            a, b, k = np.argwhere(flagged)[0].tolist()  # the first in a <= b, then k order
+            context = f"{self.name}: multiplicity of {k} in {a}x{b}"
+            _recover_multiplicity(complex(raw[a, b, k]), context)  # raises
+        return nearest.astype(int)
 
     def labels(self, bound: int | None = None) -> list[Label]:
         return list(range(self.data.num_classes))

@@ -24,7 +24,6 @@ from .central_measures import CentralMeasure, FiniteClassMeasure
 from .dual_hypergroup import (
     DualStructure,
     DualVector,
-    FiniteGroupDual,
     Label,
     pair_grid,
     per_label,
@@ -218,7 +217,8 @@ class KolmogorovField(FieldSampler):
             )
         self.measure = measure
         self.last_coordinates: np.ndarray | None = None
-        self._fourier_cache: dict[Label, complex] = {}
+        # A check asks for every transform twice, for C(k) and for its pairs' moments.
+        self._fourier = functools.cache(measure.fourier)
         super().__init__(measure.dual, seed, f"kolmogorov({measure.description}, seed={seed})")
 
     def sample_batch(self, labels, count):
@@ -226,13 +226,6 @@ class KolmogorovField(FieldSampler):
         coords = self.measure.sample_coordinates(self._rng, count)
         self.last_coordinates = coords
         return dict(zip(ordered, self.measure._complex_characters(ordered, coords)))
-
-    def _fourier(self, label: Label) -> complex:
-        found = self._fourier_cache.get(label)
-        if found is None:
-            found = self.measure.fourier(label)
-            self._fourier_cache[label] = found
-        return found
 
     def second_moment(self, a, b):
         terms = self.dual.tensor(a, self.dual.conjugate(b))
@@ -575,14 +568,10 @@ class ScatteredMeasure:
 
     def reconstruction_residual(self) -> float:
         """Largest L2 distance between Y_pi and the character integral of Gamma."""
-        dual = self.measure.dual
-        worst = 0.0
-        for label in dual.labels():
-            row = dual.character(label)
-            rebuilt = row @ self.values
-            diff = row - rebuilt
-            worst = max(worst, float(np.sqrt(self._expect(diff, diff).real)))
-        return worst
+        chars = self.measure.dual.data.characters
+        diff = chars - chars @ self.values  # row pi: Y_pi minus its integral
+        squares = (self.measure.class_weights * diff * np.conj(diff)).sum(axis=1)
+        return float(np.sqrt(squares.real).max())
 
 
 def cramer_decompose_finite(field: KolmogorovField) -> ScatteredMeasure:
@@ -601,7 +590,6 @@ def cramer_decompose_finite(field: KolmogorovField) -> ScatteredMeasure:
             "the scattered decomposition is constructed only for fields over finite groups"
         )
     measure = field.measure
-    dual: FiniteGroupDual = measure.dual
     w = measure.class_weights
     values = np.diag((w > 0).astype(float))
     dead = [f"class {c}" for c in range(len(w)) if w[c] == 0]
