@@ -65,7 +65,10 @@ PEAK_PER_ROW = 32
 # every field spec and the three kinds: 90 bytes a pair for white noise and MA,
 # 107 for Kolmogorov heat (196 normalized, where it fails), and at most 2160
 # (135 values) when nearly every pair fails and becomes a printed witness
-# (complex AR(1), atoms under the normalized kind).
+# (complex AR(1), atoms under the normalized kind).  Re-measured on 0..299
+# with witnesses ordered on their first read, the same bytes as with the
+# eager order: ar1:0.99,0.1 2129-2137 bytes a pair over the three kinds,
+# atoms under the normalized kind 2071, ar1:0.5,0.6 1342-1347.
 PEAK_PER_PAIR = 160
 # What a check on SU(2) holds per irreducible its pairs cover (0 .. 2 * the
 # largest label), in complex values, counted apart from the pairs.  Measured

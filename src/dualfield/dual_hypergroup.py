@@ -46,6 +46,11 @@ _TORUS_LIMIT = 1 << 62
 _INT64_LIMIT = 1 << 63
 
 
+def _shown(label) -> str:
+    """A label as an error message names it: numpy integers as plain ints."""
+    return repr(int(label) if isinstance(label, np.integer) else label)
+
+
 # ---------------------------------------------------------------------------
 # Finitely supported vectors on labels
 # ---------------------------------------------------------------------------
@@ -326,9 +331,9 @@ class TorusDual(DualStructure):
 
     def validate_label(self, label: Label) -> Label:
         if not isinstance(label, (int, np.integer)):
-            raise LabelDomainError(f"torus: label {label!r} is not an integer")
+            raise LabelDomainError(f"torus: label {_shown(label)} is not an integer")
         if not -_TORUS_LIMIT < label < _TORUS_LIMIT:
-            raise LabelDomainError(f"torus: label {label!r} is not below 2**62 in size")
+            raise LabelDomainError(f"torus: label {_shown(label)} is not below 2**62 in size")
         return int(label)
 
     def _in_range(self, x):
@@ -336,9 +341,9 @@ class TorusDual(DualStructure):
 
     def validate_derived_label(self, label: Label) -> Label:
         if not isinstance(label, (int, np.integer)):
-            raise LabelDomainError(f"torus: label {label!r} is not an integer")
+            raise LabelDomainError(f"torus: label {_shown(label)} is not an integer")
         if not -_INT64_LIMIT < label < _INT64_LIMIT:
-            raise LabelDomainError(f"torus: label {label!r} does not fit in int64")
+            raise LabelDomainError(f"torus: label {_shown(label)} does not fit in int64")
         return int(label)
 
     def validate_derived_labels(self, labels):
@@ -391,7 +396,7 @@ class SU2Dual(DualStructure):
 
     def validate_label(self, label: Label) -> Label:
         if not isinstance(label, (int, np.integer)) or label < 0:
-            raise LabelDomainError(f"su2: label {label!r} is not a nonnegative integer")
+            raise LabelDomainError(f"su2: label {_shown(label)} is not a nonnegative integer")
         return int(label)
 
     def _in_range(self, x):
@@ -541,7 +546,7 @@ class FiniteGroupDual(DualStructure):
 
     def validate_label(self, label: Label) -> Label:
         if not isinstance(label, (int, np.integer)) or not 0 <= label < self.data.num_classes:
-            raise LabelDomainError(f"{self.name}: unknown irreducible label {label!r}")
+            raise LabelDomainError(f"{self.name}: unknown irreducible label {_shown(label)}")
         return int(label)
 
     def _in_range(self, x):

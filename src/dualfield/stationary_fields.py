@@ -275,7 +275,20 @@ class TranslatedField(FieldSampler):
             _evaluate_into(row, base_values, self._shifted(label))
         return values
 
+    def _over_white_noise(self) -> bool:
+        return type(self.base).second_moment_matrix is WhiteNoiseField.second_moment_matrix
+
+    def _square(self) -> DualVector:
+        """The multiplicities k -> m_{s (x) conj(s)}(k) of the shift s."""
+        return self.dual.tensor(self.shift, self.dual.conjugate(self.shift))
+
     def second_moment(self, a, b):
+        if self._over_white_noise():
+            # The orthogonality sum of second_moment_matrix, which needs no
+            # shifted label: small integers, so the bits of the loop below.
+            square = self._square()
+            terms = self.dual.tensor(a, self.dual.conjugate(b))
+            return complex(sum((m * square.coeff(k) for k, m in terms.items()), 0j))
         va = self._shifted(a)
         vb = self._shifted(b)
         total = 0j
@@ -285,10 +298,9 @@ class TranslatedField(FieldSampler):
         return complex(total)
 
     def second_moment_matrix(self, labels, columns=None):
-        if type(self.base).second_moment_matrix is not WhiteNoiseField.second_moment_matrix:
+        if not self._over_white_noise():
             return super().second_moment_matrix(labels, columns)
-        square = self.dual.tensor(self.shift, self.dual.conjugate(self.shift))
-        support, mult = (np.array(x) for x in zip(*sorted(square.items())))
+        support, mult = (np.array(x) for x in zip(*sorted(self._square().items())))
 
         def values_at(ks):
             """m_{s (x) conj(s)}(k), 0j where k does not occur."""
@@ -356,18 +368,49 @@ class _Flagged:
         return [(self.labels[p // n], self.labels[p % n]) for p in self.flagged.tolist()]
 
 
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """A failing window: its labels, its flat lhs, rhs and violation arrays, and ``tol``."""
+
+    labels: list
+    lhs: np.ndarray
+    rhs: np.ndarray
+    violation: np.ndarray
+    tol: float
+
+    def flagged(self) -> _Flagged:
+        """The pairs above ``tol`` by descending violation, ties in window order."""
+        flagged = np.flatnonzero(self.violation > self.tol)
+        flagged = flagged[np.argsort(-self.violation[flagged], kind="stable")]
+        return _Flagged(
+            self.labels, flagged, self.lhs[flagged], self.rhs[flagged], self.violation[flagged]
+        )
+
+
+def _read(report):
+    """What ``report`` stores, a tuple or a :class:`_Flagged`.
+
+    A :class:`_Window` is ordered into a :class:`_Flagged` on its first read,
+    which the report keeps in its place.
+    """
+    stored = report.__dict__["_witnesses"]
+    if isinstance(stored, _Window):
+        stored = report.__dict__["_witnesses"] = stored.flagged()
+    return stored
+
+
 class _LazyWitnesses:
     """Data descriptor of ``StationarityReport.witnesses``.
 
-    It stores what the report was built with, a tuple or a :class:`_Flagged`,
-    and on the first read turns flagged arrays into the tuple.
+    It stores what the report was built with, a tuple or a :class:`_Window`,
+    and on the first read turns the flagged pairs into the tuple.
     """
 
     def __get__(self, report, owner=None):
         if report is None:
             # dataclass reads the class attribute as the default; none, so the field is required.
             raise AttributeError("witnesses")
-        stored = report.__dict__["_witnesses"]
+        stored = _read(report)
         if isinstance(stored, _Flagged):
             stored = tuple(
                 Witness(a, b, left, right)
@@ -386,10 +429,13 @@ class _LazyWitnesses:
 class StationarityReport:
     """Verdict of a check and its witnesses: the pairs above ``tol``.
 
-    Witnesses come by descending violation, ties in window order.  A check
-    keeps the flagged pairs as arrays: the :class:`Witness` tuple is built
-    the first time ``witnesses`` is read, and :meth:`to_json_dict` renders
-    from the arrays while they are unread.
+    Witnesses come by descending violation, ties in window order.  A
+    passing check stores none.  A failing one keeps the window's arrays and
+    orders its flagged pairs on the first read of ``witnesses`` or
+    :meth:`to_json_dict`, keeping only those from then on: the
+    :class:`Witness` tuple is built the first time ``witnesses`` is read,
+    and :meth:`to_json_dict` renders from the ordered arrays while it is
+    unread.
     """
 
     condition: str
@@ -399,7 +445,7 @@ class StationarityReport:
     witnesses: tuple[Witness, ...] = _LazyWitnesses()
 
     def to_json_dict(self, label_to_str=str) -> dict:
-        stored = self.__dict__["_witnesses"]
+        stored = _read(self)
         if isinstance(stored, _Flagged):
             parts = (stored.lhs.real, stored.lhs.imag, stored.rhs.real, stored.rhs.imag)
             rows = zip(stored.pairs(), *(part.tolist() for part in (*parts, stored.violation)))
@@ -482,10 +528,8 @@ def _check_pairs(condition, dual, oracle, labels, kind, tol):
         diff = lhs - rhs
         # hypot has the bits of abs(complex); np.abs differs in the last bit.
         violation = np.hypot(diff.real, diff.imag)
-    flagged = np.flatnonzero(violation > tol)
-    flagged = flagged[np.argsort(-violation[flagged], kind="stable")]
     worst = float(violation.max())
-    witnesses = _Flagged(labels, flagged, lhs[flagged], rhs[flagged], violation[flagged])
+    witnesses = () if worst <= tol else _Window(labels, lhs, rhs, violation, tol)
     return StationarityReport(condition, worst <= tol, worst, tol, witnesses)
 
 

@@ -110,6 +110,24 @@ def _per_distinct(values: np.ndarray, f: Callable) -> np.ndarray:
     return np.array([f(v) for v in distinct.tolist()])[at.reshape(values.shape)]
 
 
+def _per_lag(lags: np.ndarray, f: Callable) -> np.ndarray:
+    """:func:`_per_distinct` on an array of nonnegative lags: ``f`` once per lag, ascending.
+
+    When the largest lag is below the number of entries, the lags that occur
+    are marked in a table of max + 1 slots, with no sort.  Sparse lags keep
+    the sort, whose memory follows the entries, not their spread.
+    """
+    top = int(lags.max(initial=0))
+    if top >= lags.size:
+        return _per_distinct(lags, f)
+    seen = np.zeros(top + 1, dtype=bool)
+    seen[lags] = True
+    marked = np.flatnonzero(seen)
+    table = np.zeros(top + 1, dtype=complex)
+    table[marked] = [f(h) for h in marked.tolist()]
+    return table[lags]
+
+
 def _indices(labels: Sequence[Label]) -> np.ndarray:
     """Integer array of labels, checked with ``operator.index`` unless already integers."""
     n = np.asarray(labels)
@@ -138,7 +156,7 @@ def _ar1_matrix(coefficients, n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray,
         raise ValueError("indices must be nonnegative")
     z = complex(coefficients[0])
     r2 = abs(z) ** 2
-    power = _per_distinct(np.abs(n[:, None] - m[None, :]), lambda h: z**h)
+    power = _per_lag(np.abs(n[:, None] - m[None, :]), lambda h: z**h)
     x, y = power.real, power.imag
     # ar1_covariance's mixed arithmetic on the parts: Python (before 3.14)
     # promotes the real operand to complex, and numpy's complex division

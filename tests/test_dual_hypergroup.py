@@ -434,12 +434,29 @@ class TestWindowArrays:
             ("torus", [0, 0.5], "0.5"),
             ("s3", [0, 3], "3"),
             ("s3", [0, -1], "-1"),
+            # numpy integers are named as plain ints, not as np.int64(...).
+            ("su2", np.array([1, -1]), "-1 is"),
+            ("torus", np.array([0, 2**63 - 2]), "9223372036854775806 is"),
+            ("s3", np.array([0, 3], dtype=np.int32), "3$"),
         ],
     )
     def test_the_first_bad_label_is_named(self, su2, torus, s3, name, labels, bad):
         dual = {"su2": su2, "torus": torus, "s3": s3}[name]
         with pytest.raises(LabelDomainError, match=f"label {bad}"):
             dual.validate_labels(labels)
+
+    def test_numpy_integers_named_as_ints(self, su2, torus):
+        cases = [
+            (torus.validate_derived_labels, np.array([0, 2**63], dtype=np.uint64)),
+            (torus.validate_label, np.int64(-(2**62))),
+            (su2.validate_label, np.int8(-3)),
+        ]
+        for validate, label in cases:
+            with pytest.raises(LabelDomainError) as error:
+                validate(label)
+            assert "np." not in str(error.value) and "int64(" not in str(error.value)
+        with pytest.raises(LabelDomainError, match=re.escape("label np.float64(1.5) ")):
+            torus.validate_label(np.float64(1.5))
 
 
 class TestTorusLabelBound:
@@ -464,7 +481,7 @@ class TestTorusLabelBound:
         bad = labels[1]
         with pytest.raises(LabelDomainError, match="not below 2\\*\\*62"):
             torus.validate_label(bad)
-        with pytest.raises(LabelDomainError, match=re.escape(f"label {bad!r} ")):
+        with pytest.raises(LabelDomainError, match=re.escape(f"label {int(bad)} ")):
             torus.validate_labels(labels)
 
     def test_largest_labels_accepted(self, torus):

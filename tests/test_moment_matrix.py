@@ -49,7 +49,8 @@ from dualfield.stationary_fields import (
     moment_matrix,
     pairwise_matrix,
 )
-from dualfield.time_series import UNIT_CIRCLE_TOL, SeriesField
+from dualfield import time_series
+from dualfield.time_series import UNIT_CIRCLE_TOL, SeriesField, _per_distinct, _per_lag
 
 KINDS = ("statdef", "representation_ring", "normalized")
 SU2 = su2_dual()
@@ -538,6 +539,129 @@ class TestWindowKernels:
         for check in KINDS:
             report = run_check(check, TORUS, field.second_moment, labels, 1e-12)
             assert report.passed and report.max_violation == 0.0
+
+
+def ref_translated_second_moment(field, a, b):
+    """The brute-force double sum over the shifted decompositions of a and b."""
+    total = 0j
+    for k1, m1 in field._shifted(a).items():
+        for k2, m2 in field._shifted(b).items():
+            total += m1 * np.conj(m2) * field.base.second_moment(k1, k2)
+    return complex(total)
+
+
+class TestTranslatedWhiteNoiseScalar:
+    @pytest.mark.parametrize(
+        "dual, labels, shifts",
+        [
+            (SU2, [4, 0, 7, 2, 9, 1], range(5)),
+            (TORUS, [-3, 4, 0, 7, 1, -6], range(-3, 4)),
+            (S3, S3.labels(), S3.labels()),
+            (Q8, Q8.labels(), Q8.labels()),
+        ],
+        ids=lambda x: getattr(x, "name", None),
+    )
+    def test_bits_of_the_double_sum(self, dual, labels, shifts):
+        for shift in shifts:
+            field = translate(white_noise(dual), shift)
+            for a in labels:
+                for b in labels:
+                    got = field.second_moment(a, b)
+                    assert bits(got) == bits(ref_translated_second_moment(field, a, b))
+
+    def test_torus_scalar_answers_where_the_matrix_does(self):
+        field = translate(white_noise(TORUS), 3)
+        for a in (2**63 - 2, -(2**63 - 2)):
+            assert bits(field.second_moment(a, 0)) == bits(0j)
+            assert bits(field.second_moment_matrix([a], [0])[0, 0]) == bits(0j)
+        with pytest.raises(LabelDomainError, match="does not fit in int64"):
+            field.second_moment(2**63 - 1, -1)
+
+    def test_per_pair_torus_check_at_far_labels(self):
+        field = translate(white_noise(TORUS), 3)
+        per_pair = lambda a, b: field.second_moment(a, b)  # noqa: E731  hides the matrix
+        for check in KINDS:
+            report = run_check(check, TORUS, per_pair, [2**62 - 1, -(2**62 - 1), 0], 1e-12)
+            assert report.passed and report.max_violation == 0.0
+
+    def test_other_bases_keep_the_double_sum(self):
+        atom = TorusAngleMeasure(atoms=[(0.4, 1.0)], dual=TORUS)
+        field = translate(kolmogorov_field(atom), 3)
+        with pytest.raises(LabelDomainError, match="does not fit in int64"):
+            field.second_moment(2**63 - 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# AR(1) lag powers: a table of max + 1 slots, or the sort for sparse lags
+# ---------------------------------------------------------------------------
+
+
+def count_sorts(monkeypatch):
+    calls = []
+
+    def counted(values, f):
+        calls.append(values.shape)
+        return _per_distinct(values, f)
+
+    monkeypatch.setattr(time_series, "_per_distinct", counted)
+    return calls
+
+
+class TestAr1LagTable:
+    # (rows, columns, whether the lags are sparse enough to be sorted)
+    CASES = [
+        (list(range(31)), None, False),
+        ([0, 10**6], None, True),
+        ([9, 0, 3, 12, 1, 1, 6, 4, 2], None, False),
+        ([5, 5, 5, 5], None, False),
+        ([9, 0, 3, 12, 1], [4, 4, 0, 7], False),
+        ([40, 2], [0, 1, 2, 3, 4, 5], True),
+        (list(range(61)), [0], False),
+        ([0, 10**6], [0], True),
+        ([0, 7, 1], [10**6], True),
+    ]
+
+    @pytest.mark.parametrize("lam", [0, 0.5, -0.9, 0.5 + 0.6j, 1])
+    def test_bits_of_the_per_pair_oracle(self, monkeypatch, lam):
+        oracle = ar1_second_moment_oracle(lam)
+        sorts = count_sorts(monkeypatch)
+        for rows, columns, sparse in self.CASES:
+            sorts.clear()
+            assert same_as_per_pair(oracle, oracle.matrix, rows, columns), (rows, columns)
+            assert len(sorts) == sparse, (rows, columns)
+
+    @pytest.mark.parametrize(
+        "lags",
+        [[[0, 1, 4], [2, 2, 0]], [[3, 3], [3, 3]], [[0, 9], [9, 0]], [[0]], np.zeros((0, 3))],
+    )
+    def test_f_once_per_lag_ascending(self, lags):
+        lags = np.array(lags, dtype=int)
+        for per in (_per_lag, _per_distinct):
+            calls = []
+
+            def f(h):
+                calls.append(h)
+                return complex(h, -h) ** 3
+
+            got = per(lags, f)
+            assert calls == sorted(set(lags.ravel().tolist()))
+            assert all(type(h) is int for h in calls)
+            assert got.tobytes() == _per_distinct(lags, lambda h: complex(h, -h) ** 3).tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, columns, sparse",
+        [(list(range(3895)), [0], False), ([0, 5000], None, True), ([3894], [0], True)],
+    )
+    def test_overflow_raises_as_the_oracle_does(self, monkeypatch, rows, columns, sparse):
+        # 1.2**3894 overflows a complex; the pows run in ascending lag order on both paths.
+        oracle = ar1_second_moment_oracle(1.2)
+        with pytest.raises(OverflowError) as per_pair:
+            oracle(3894, 0)
+        sorts = count_sorts(monkeypatch)
+        with pytest.raises(OverflowError) as matrix:
+            oracle.matrix(rows, columns)
+        assert str(matrix.value) == str(per_pair.value) == "complex exponentiation"
+        assert len(sorts) == sparse
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ representation-ring sum of d_k value(k) with each part times
 per-term sum.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -44,6 +45,7 @@ from dualfield import (
 )
 from dualfield import dual_hypergroup
 from dualfield.dual_hypergroup import pair_grid, pair_matrix
+from dualfield.stationary_fields import _Flagged, _Window, moment_matrix
 
 KINDS = ("statdef", "representation_ring", "normalized")
 
@@ -267,6 +269,93 @@ class TestAgainstReferenceLoops:
                     got = field.second_moment(a, b)
                     want = ref_kolmogorov_second_moment(field, a, b)
                     assert bits(got) == bits(want), (measure.description, a, b)
+
+
+def eager_report(check, dual, oracle, labels, tol):
+    """Witnesses and JSON of a report whose flagged pairs are all ordered when it is built.
+
+    The window arrays come as a check computes them; every pair above tol is
+    ordered by descending violation (a stable sort, so ties keep window
+    order) and rendered from the ordered arrays.
+    """
+    labels = list(labels)
+    kind = "representation_ring" if check == "statdef" else check
+    column = lambda ks: moment_matrix(oracle, ks, [dual.neutral]).ravel()  # noqa: E731
+    rhs = pair_grid(dual, labels, None, column, kind).ravel()
+    lhs = moment_matrix(oracle, labels).ravel()
+    diff = lhs - rhs
+    violation = np.hypot(diff.real, diff.imag)
+    flagged = np.flatnonzero(violation > tol)
+    flagged = flagged[np.argsort(-violation[flagged], kind="stable")]
+    n = len(labels)
+    pairs = [(labels[p // n], labels[p % n]) for p in flagged.tolist()]
+    lhs, rhs, violation_flagged = lhs[flagged], rhs[flagged], violation[flagged]
+    witnesses = tuple(
+        Witness(a, b, left, right) for (a, b), left, right in zip(pairs, lhs.tolist(), rhs.tolist())
+    )
+    parts = (lhs.real, lhs.imag, rhs.real, rhs.imag, violation_flagged)
+    payload = {
+        "condition": "statdef" if check == "statdef" else f"stathyp:{kind}",
+        "pass": bool(violation.max() <= tol),
+        "max_violation": float(violation.max()),
+        "tol": tol,
+        "witnesses": [
+            {
+                "pi1": dual.label_to_str(a),
+                "pi2": dual.label_to_str(b),
+                "lhs": [lhs_re, lhs_im],
+                "rhs": [rhs_re, rhs_im],
+                "violation": v,
+            }
+            for (a, b), lhs_re, lhs_im, rhs_re, rhs_im, v in zip(
+                pairs, *(part.tolist() for part in parts)
+            )
+        ],
+    }
+    return witnesses, json.dumps(payload).encode()
+
+
+def witness_bits(witnesses):
+    return [(w.pi1, w.pi2, bits(w.lhs), bits(w.rhs)) for w in witnesses]
+
+
+class TestWitnessesOrderedOnFirstRead:
+    @pytest.mark.parametrize("check", KINDS)
+    def test_same_witnesses_and_json_as_the_eager_order(self, check, su2, torus, s3, q8):
+        verdicts = []
+        for name, dual, oracle, labels in field_cases(su2, torus, s3, q8):
+            for tol in (1e-12, 0.0):
+                witnesses, payload = eager_report(check, dual, oracle, labels, tol)
+                json_first = run_check(check, dual, oracle, labels, tol)
+                witnesses_first = run_check(check, dual, oracle, labels, tol)
+                verdicts.append(json_first.passed)
+                stored = json_first.__dict__["_witnesses"]
+                if json_first.passed:
+                    assert type(stored) is tuple and stored == () == witnesses, (name, tol)
+                else:
+                    # Nothing is ordered before the first read.
+                    assert type(stored) is _Window
+                got = json.dumps(json_first.to_json_dict(dual.label_to_str)).encode()
+                assert got == payload, (name, check, tol)
+                assert witness_bits(json_first.witnesses) == witness_bits(witnesses)
+                assert witness_bits(witnesses_first.witnesses) == witness_bits(witnesses)
+                got = json.dumps(witnesses_first.to_json_dict(dual.label_to_str)).encode()
+                assert got == payload, (name, check, tol)
+        assert set(verdicts) == {True, False}
+
+    def test_ordered_once_then_the_tuple(self, su2):
+        report = check_hypergroup_stationarity(
+            su2, ar1_second_moment_oracle(0.5 + 0.6j), range(9), kind="normalized"
+        )
+        assert type(report.__dict__["_witnesses"]) is _Window
+        first = report.to_json_dict()
+        # The window's arrays give way to the flagged pairs, in order.
+        flagged = report.__dict__["_witnesses"]
+        assert type(flagged) is _Flagged and len(flagged.flagged) == len(first["witnesses"])
+        assert report.to_json_dict() == first and report.__dict__["_witnesses"] is flagged
+        witnesses = report.witnesses
+        assert report.__dict__["_witnesses"] is witnesses and len(witnesses) == len(flagged.flagged)
+        assert report.to_json_dict() == first
 
 
 class TestOracleCalls:
