@@ -272,7 +272,15 @@ class SU2AngleMeasure(_AngleMeasure):
 
 
 class TorusAngleMeasure(_AngleMeasure):
-    """Central measure on the torus, angle on [0, 2 pi), density against d(theta)/2 pi."""
+    """Central measure on the torus, angle on [0, 2 pi), density against d(theta)/2 pi.
+
+    The transform of a density is its mean against exp(i n theta) over
+    ``_TORUS_GRID`` uniform points, which is exact when the density's degree
+    plus |n| is below the grid.  So |n| < ``_TORUS_GRID // 2`` is answered,
+    exactly for a trigonometric polynomial of degree at most 1023, and a
+    larger |n| raises :class:`CapabilityError` rather than alias.  Atoms
+    have no such limit.
+    """
 
     def __init__(
         self,
@@ -309,6 +317,12 @@ class TorusAngleMeasure(_AngleMeasure):
         for theta, weight in self.atoms:
             total += weight * np.exp(1j * n * theta)
         if self._grid_density is not None:
+            if abs(n) >= _TORUS_GRID // 2:
+                raise CapabilityError(
+                    f"{self.description}: the transform of a density is a mean over "
+                    f"{_TORUS_GRID} grid points, answered only below label {_TORUS_GRID // 2} "
+                    f"in size, not at {n}"
+                )
             theta = self._uniform_grid()
             total += complex(np.mean(self._grid_density * np.exp(1j * n * theta)))
         return total

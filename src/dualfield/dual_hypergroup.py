@@ -74,6 +74,13 @@ class DualVector:
     def point_mass(cls, label: Label) -> "DualVector":
         return cls({label: 1.0})
 
+    @classmethod
+    def _units(cls, labels: Iterable[Label]) -> "DualVector":
+        """``cls(dict.fromkeys(labels, 1))`` for distinct labels, with no check per item."""
+        vec = cls.__new__(cls)
+        vec._coeffs = dict.fromkeys(labels, 1 + 0j)
+        return vec
+
     def coeff(self, label: Label) -> complex:
         return self._coeffs.get(label, 0j)
 
@@ -368,7 +375,7 @@ class TorusDual(DualStructure):
     def tensor(self, a: Label, b: Label) -> DualVector:
         # A sum of Python integers, so it is checked, never wrapped.
         total = self.validate_derived_label(a) + self.validate_derived_label(b)
-        return DualVector({self.validate_derived_label(total): 1})
+        return DualVector._units((self.validate_derived_label(total),))
 
     def terms(self, a, b):
         k = (a + b).ravel()
@@ -418,7 +425,7 @@ class SU2Dual(DualStructure):
     def tensor(self, a: Label, b: Label) -> DualVector:
         a = self.validate_label(a)
         b = self.validate_label(b)
-        return DualVector({k: 1 for k in range(abs(a - b), a + b + 1, 2)})
+        return DualVector._units(range(abs(a - b), a + b + 1, 2))
 
     def band(self, a, b):
         # Clebsch-Gordan: |a-b|, |a-b| + 2, ..., a+b.

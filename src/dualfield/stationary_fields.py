@@ -82,30 +82,39 @@ def _fill_white_noise(view: np.ndarray, rng: np.random.Generator) -> None:
 
 
 def evaluate_at_vector(sample: Mapping[Label, object], vec: DualVector):
-    """Decomposable extension: value of a joint sample at a reducible element."""
-    return _evaluate_into(None, sample, vec)
-
-
-def _evaluate_into(out, sample: Mapping[Label, object], vec: DualVector):
-    """:func:`evaluate_at_vector`, written over the array ``out`` unless it is None.
+    """Decomposable extension: value of a joint sample at a reducible element.
 
     The terms mult * sample[label] are added in the order of ``vec``, in
-    place into the first, so array samples hold one term beside the sum.
+    place into the first.
     """
     total = None
     for label, mult in vec.items():
-        if total is not None:
-            total += mult * sample[label]
-        elif out is None:
+        if total is None:
             total = mult * sample[label]
         else:
-            total = np.multiply(mult, sample[label], out=out)
-    if total is not None:
-        return total
-    if out is None:
-        return 0j
-    out.fill(0)
-    return out
+            total += mult * sample[label]
+    return 0j if total is None else total
+
+
+def _sum_into(row: np.ndarray, sample: Mapping[Label, np.ndarray], terms) -> None:
+    """Write the sum of mult * sample[label] over the (label, mult) ``terms`` over ``row``.
+
+    The terms are added in their order, in place into the first, which is
+    multiplied into ``row``.  A later term of multiplicity 1 is added as it
+    stands, with no product: (1+0j) x has the bits of x unless a part of x
+    is -0.0 or not finite.
+    """
+    total = None
+    for label, mult in terms:
+        x = sample[label]
+        if total is None:
+            total = np.multiply(mult, x, out=row)
+        elif mult == 1:
+            np.add(total, x, out=total)
+        else:
+            total += mult * x
+    if total is None:
+        row.fill(0)
 
 
 class FieldSampler:
@@ -264,15 +273,25 @@ class TranslatedField(FieldSampler):
         return self.dual.tensor(label, self.shift)
 
     def sample_batch(self, labels, count):
+        """The base's values at each label's tensor product with the shift, from one joint draw.
+
+        Each label is decomposed once.  After a label's first term, terms of
+        multiplicity 1 are added as they stand, not multiplied by (1+0j),
+        which keeps the bits of the multiplied sum unless a part of such a
+        term is -0.0 or not finite.  No builtin base draws a non-finite
+        part.  Only torus characters at the angle 0 have a -0.0 part (the
+        imaginary part at negative labels), and a torus label has one term.
+        """
         ordered = sorted(set(labels))
-        needed = sorted({k for label in ordered for k in self._shifted(label).support})
+        terms = {label: self._shifted(label).items() for label in ordered}
+        needed = sorted({k for items in terms.values() for k, _ in items})
         # The rows are allocated before the base draw, so the draw, freed on
         # return, lies above them at the top of the heap and is given back,
         # rather than left resident below them as a hole.
         values = {label: np.empty(count, dtype=complex) for label in ordered}
         base_values = self.base.sample_batch(needed, count)
         for label, row in values.items():
-            _evaluate_into(row, base_values, self._shifted(label))
+            _sum_into(row, base_values, terms[label])
         return values
 
     def _over_white_noise(self) -> bool:

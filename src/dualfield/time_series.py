@@ -50,33 +50,35 @@ def simulate_ar1(lam: complex, n_max: int, seed=None, noise=None) -> np.ndarray:
     noise = np.array(noise, dtype=complex)  # a copy: the path is written over it
     if noise.shape != (n_max + 1,):
         raise ValueError(f"need {n_max + 1} noise draws, got shape {noise.shape}")
-    return _ar1_at(lam, range(n_max + 1), noise[None, :])[0]
+    return _ar1_at(lam, range(n_max + 1), noise[:, None])[:, 0]
 
 
 def simulate_ar1_batch(lam: complex, n_max: int, n_paths: int, seed) -> np.ndarray:
     """Independent AR(1) paths as rows of an (n_paths, n_max + 1) array.
 
-    The paths are written over their own noise draw by :func:`_ar1_at`,
-    one step of the recursion per index.
+    The paths are built label-major over their own noise draw by
+    :func:`_ar1_at`, one step of the recursion per index, and returned as
+    its transposed view: column n is one contiguous block.
     """
-    noise = white_noise_sequence((n_paths, n_max + 1), seed=seed)
-    return _ar1_at(lam, range(n_max + 1), noise)
+    noise = _white_noise_rows(n_max + 1, n_paths, np.random.default_rng(seed))
+    return _ar1_at(lam, range(n_max + 1), noise).T
 
 
 def _ar1_at(lam: complex, labels: Sequence[int], noise: np.ndarray) -> np.ndarray:
-    """Y at ascending ``labels``, written in place over ``noise``, one unit-noise column a label.
+    """Y at ascending ``labels``, written in place over label-major ``noise``, one unit-noise row a label.
 
     From Y_{-1} = 0, a step of 1 is the recursion lam Y + Z.  A gap g > 1 is
     lam^g Y + s Z with s^2 = ``ar1_covariance(lam, g - 1, 0)``: given Y_n,
     Y_{n+g} is lam^g Y_n plus g innovations whose sum is one circular
     Gaussian of that variance, so the values have the law of the path read
-    at the labels.  Labels 0..N are the path itself.
+    at the labels.  Labels 0..N are the path itself.  Row i of ``noise``
+    holds the samples of ``labels[i]``, so each step reads and writes one
+    contiguous row.
     """
-    term = np.empty(noise.shape[0], dtype=noise.dtype)
+    term = np.empty(noise.shape[1], dtype=noise.dtype)
     y = np.zeros_like(term)
     previous = -1
-    for i, n in enumerate(labels):
-        z = noise[:, i]
+    for z, n in zip(noise, labels):
         gap = n - previous
         if gap == 1:
             np.multiply(lam, y, out=term)
@@ -226,34 +228,43 @@ def _ma(beta: np.ndarray, noise: np.ndarray, at: np.ndarray) -> np.ndarray:
     before it those of the index k lower; rows before the first count as
     Z = 0.  ``at`` is ascending.  Rows are built from the last label down,
     a block of about ``_DRAW_CHUNK`` values at a time, so every Z_{n-k} is
-    read before its row is overwritten, and the two row buffers stay
-    cache-sized.  Each value is 0 + beta_0 Z_n + ... + beta_q Z_{n-q} in
-    that order, the bits of a sum over whole noise columns.
+    read before its row is overwritten, and the two block buffers stay
+    cache-sized.  A row wider than ``_DRAW_CHUNK`` is split along the
+    samples into blocks of one row each; the samples are independent, so
+    the split changes no value.  Each value is 0 + beta_0 Z_n + ... +
+    beta_q Z_{n-q} in that order, the bits of a sum over whole noise columns.
     """
-    step = max(1, _DRAW_CHUNK // max(1, noise.shape[1]))
-    buffers = np.empty((2, min(step, len(at)), noise.shape[1]), dtype=complex)
-    for stop in range(len(at), 0, -step):
-        rows = at[max(0, stop - step) : stop]
-        # Consecutive rows are read as slices; others are gathered into ``term``.
-        lo, hi = int(rows[0]), int(rows[-1]) + 1
-        consecutive = hi - lo == len(rows)
-        acc, term = buffers[:, : len(rows)]
-        acc.fill(0)
-        for k, coeff in enumerate(beta):
-            first = int(np.searchsorted(rows, k))  # rows below k have Z_{n-k} = 0
-            if first == len(rows):
-                break
-            t = term[first:]
+    width = noise.shape[1]
+    span = max(1, min(width, _DRAW_CHUNK))  # samples per block
+    step = _DRAW_CHUNK // span  # rows per block
+    buffers = np.empty((2, min(step, len(at)), span), dtype=complex)
+    for start in range(0, width, span):
+        # All of ``noise`` unless its rows are split, and then ``step`` is 1,
+        # so each row is read as a slice: ``take`` below, which would copy a
+        # strided block whole, never runs on one.
+        block = noise[:, start : start + span]
+        for stop in range(len(at), 0, -step):
+            rows = at[max(0, stop - step) : stop]
+            # Consecutive rows are read as slices; others are gathered into ``term``.
+            lo, hi = int(rows[0]), int(rows[-1]) + 1
+            consecutive = hi - lo == len(rows)
+            acc, term = buffers[:, : len(rows), : block.shape[1]]
+            acc.fill(0)
+            for k, coeff in enumerate(beta):
+                first = int(np.searchsorted(rows, k))  # rows below k have Z_{n-k} = 0
+                if first == len(rows):
+                    break
+                t = term[first:]
+                if consecutive:
+                    np.multiply(coeff, block[lo + first - k : hi - k], out=t)
+                else:
+                    block.take(rows[first:] - k, axis=0, out=t, mode="clip")
+                    np.multiply(coeff, t, out=t)
+                acc[first:] += t
             if consecutive:
-                np.multiply(coeff, noise[lo + first - k : hi - k], out=t)
+                block[lo:hi] = acc
             else:
-                noise.take(rows[first:] - k, axis=0, out=t, mode="clip")
-                np.multiply(coeff, t, out=t)
-            acc[first:] += t
-        if consecutive:
-            noise[lo:hi] = acc
-        else:
-            noise[rows] = acc
+                block[rows] = acc
     return noise
 
 
@@ -351,12 +362,14 @@ def parse_series_spec(text: str) -> SeriesSpec:
 class SeriesField(FieldSampler):
     """Time-series process viewed as a field on the SU(2) dual labels.
 
-    AR(1) ``sample_batch`` draws one unit-noise column per label, in one
-    ``white_noise_sequence`` call, and :func:`_ar1_at` turns it into Y at
-    the ascending labels: a step of 1 is the recursion and a longer gap is
-    bridged in one exact draw, so an estimate at (57, 59) draws 2 columns,
-    not 60.  A window 0 .. N is the path of ``simulate_ar1_batch`` and keeps
-    its bits; other label sets have the law of the path, not its values.
+    AR(1) ``sample_batch`` draws one unit-noise row per label, in one
+    label-major draw with the bits of ``white_noise_sequence`` transposed,
+    and :func:`_ar1_at` turns it into Y at the ascending labels, in place: a
+    step of 1 is the recursion and a longer gap is bridged in one exact
+    draw, so an estimate at (57, 59) draws 2 rows, not 60.  The values
+    returned are those rows.  A window 0 .. N is the path of
+    ``simulate_ar1_batch`` and keeps its bits; other label sets have the law
+    of the path, not its values.
     MA(q) ``sample_batch`` draws only the noises its labels read: Z_j for j
     in the sorted union of n - q .. n over the labels, in one label-major
     draw with the bits of ``white_noise_sequence`` transposed, so labels far
@@ -382,9 +395,8 @@ class SeriesField(FieldSampler):
         ordered = sorted(set(labels))
         self.dual.validate_labels(ordered)
         if self.spec.kind == "ar1":
-            noise = white_noise_sequence((count, len(ordered)), rng=self._rng)
-            values = _ar1_at(self.spec.coefficients[0], ordered, noise)
-            return {label: values[:, i] for i, label in enumerate(ordered)}
+            noise = _white_noise_rows(len(ordered), count, self._rng)
+            return dict(zip(ordered, _ar1_at(self.spec.coefficients[0], ordered, noise)))
         beta = np.asarray(self.spec.coefficients, dtype=complex)
         n = np.array(ordered, dtype=int)
         drawn = np.unique(n[:, None] - np.arange(beta.size))

@@ -621,3 +621,28 @@ class TestCharacterTables:
             want = complex(np.mean(grid * np.exp(1j * n * theta)))
             assert hex_pair(value) == hex_pair(want)
 
+
+
+class TestTorusDensityTransform:
+    """A density's transform is a 2048-point mean: exact below label 1024, refused from it."""
+
+    @staticmethod
+    def measure():
+        return TorusAngleMeasure(density=lambda t: 1 + np.cos(t))
+
+    @pytest.mark.parametrize("label", [1024, 2047, -4096, -1024, 4096])
+    def test_labels_past_the_grid_are_refused(self, label):
+        with pytest.raises(CapabilityError, match="2048 grid points"):
+            self.measure().fourier(label)
+
+    @pytest.mark.parametrize("label", [0, 1, -1, 2, -2, 500, -777, 1022, 1023, -1023])
+    def test_labels_below_the_grid_are_exact(self, label):
+        want = {0: 1.0, 1: 0.5, -1: 0.5}.get(label, 0.0)
+        assert abs(self.measure().fourier(label) - want) < 1e-13
+
+    def test_atoms_and_haar_have_no_limit(self, torus):
+        atoms = TorusAngleMeasure(atoms=[(0.5, 0.25), (2.0, 0.75)])
+        for label in (1024, 2047, -4096):
+            want = 0.25 * np.exp(1j * label * 0.5) + 0.75 * np.exp(1j * label * 2.0)
+            assert atoms.fourier(label) == pytest.approx(want, abs=1e-12)
+            assert parse_measure_spec(torus, "haar").fourier(label) == 0j

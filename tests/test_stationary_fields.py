@@ -27,6 +27,9 @@ from dualfield import (
     translate,
     weyl_quadrature,
     white_noise,
+    ar1_field,
+    ma_field,
+    su2_dual,
 )
 from dualfield.stationary_fields import jackknife_estimate
 
@@ -273,6 +276,95 @@ class TestTranslation:
         # Value at 1 is Z_0 + Z_2, so its second moment is 2.
         assert shifted.second_moment(1, 1) == pytest.approx(2.0)
         assert shifted.second_moment(1, 0) == pytest.approx(0.0)
+
+
+def evaluate_into_reference(out, sample, vec):
+    """The per-label sum translated samples were built with: each term times its (1+0j) multiplicity."""
+    total = None
+    for label, mult in vec.items():
+        if total is not None:
+            total += mult * sample[label]
+        else:
+            total = np.multiply(mult, sample[label], out=out)
+    if total is None:
+        out.fill(0)
+
+
+def translated_reference(field, labels, count):
+    """Translated values from a fresh draw of the base, decomposing each label twice, as before."""
+    ordered = sorted(set(labels))
+    shifted = lambda label: field.dual.tensor(label, field.shift)  # noqa: E731
+    needed = sorted({k for label in ordered for k in shifted(label).support})
+    base_values = field.base.reseeded(field.base.seed).sample_batch(needed, count)
+    values = {label: np.empty(count, dtype=complex) for label in ordered}
+    for label, row in values.items():
+        evaluate_into_reference(row, base_values, shifted(label))
+    return values
+
+
+def assert_same_bits(got, want):
+    assert sorted(got) == sorted(want)
+    for label in want:
+        assert got[label].tobytes() == want[label].tobytes(), label
+
+
+class TestTranslatedSampleBits:
+    """Translated samples decompose each label once and keep the bits of the multiplied sum."""
+
+    SU2_BASES = {
+        "heat": lambda seed: kolmogorov_field(heat_kernel_measure(0.1), seed),
+        "whitenoise": lambda seed: white_noise(su2_dual(), seed),
+        "ar1": lambda seed: ar1_field(0.5 + 0.6j, seed),
+        "ma": lambda seed: ma_field((1.0, 0.5j, -0.2 + 0.1j), seed),
+    }
+
+    @pytest.mark.parametrize("labels", [range(41), [3, 9, 9, 40, 2, 3]])
+    @pytest.mark.parametrize("shift", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("base", sorted(SU2_BASES))
+    def test_su2(self, base, shift, labels):
+        field = translate(self.SU2_BASES[base](17), shift)
+        assert_same_bits(field.sample_batch(labels, 301), translated_reference(field, labels, 301))
+
+    @pytest.mark.parametrize("shift", [-3, 0, 2])
+    def test_torus(self, torus, shift):
+        labels = [*range(-6, 7), 4, -6]
+        bases = [
+            white_noise(torus, 5),
+            kolmogorov_field(TorusAngleMeasure(atoms=[(0.5, 0.25), (2.0, 0.75)]), 5),
+            # Characters at the angle 0 have imaginary part -0.0 at negative labels.
+            kolmogorov_field(TorusAngleMeasure(atoms=[(0.0, 0.5), (2.0, 0.5)]), 5),
+        ]
+        for base in bases:
+            field = translate(base, shift)
+            assert_same_bits(field.sample_batch(labels, 64), translated_reference(field, labels, 64))
+
+    @pytest.mark.parametrize("name", ["c2", "c3", "c5", "s3", "q8"])
+    def test_every_builtin_finite_dual(self, request, name):
+        dual = request.getfixturevalue(name)
+        labels = dual.labels()
+        weights = np.arange(1.0, len(dual.data.class_sizes) + 1)
+        bases = [
+            white_noise(dual, 3),
+            kolmogorov_field(FiniteClassMeasure.haar(dual), 3),
+            kolmogorov_field(FiniteClassMeasure(dual, weights / weights.sum()), 3),
+        ]
+        for base in bases:
+            for shift in labels:
+                field = translate(base.reseeded(3), shift)
+                window = [*labels, labels[-1], labels[0]]
+                assert_same_bits(field.sample_batch(window, 50), translated_reference(field, window, 50))
+
+    def test_each_distinct_label_is_decomposed_once(self, su2, monkeypatch):
+        calls = []
+        original = su2.tensor
+
+        def spy(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(su2, "tensor", spy)
+        translate(white_noise(su2, 2), 3).sample_batch([7, 0, 7, 12, 0, 5], 10)
+        assert sorted(calls) == [(0, 3), (5, 3), (7, 3), (12, 3)]
 
 
 class TestCramer:

@@ -522,19 +522,110 @@ class TestAR1Bridge:
 
     def test_an_estimate_draws_one_column_per_label(self, monkeypatch):
         shapes = []
-        original = time_series.white_noise_sequence
+        original = time_series._white_noise_rows
 
-        def spy(shape, seed=None, rng=None):
-            shapes.append(shape)
-            return original(shape, seed=seed, rng=rng)
+        def spy(rows, count, rng):
+            shapes.append((rows, count))
+            return original(rows, count, rng)
 
-        monkeypatch.setattr(time_series, "white_noise_sequence", spy)
+        monkeypatch.setattr(time_series, "_white_noise_rows", spy)
         field = ar1_field(0.5 + 0.3j, seed=1)
         assert estimate_covariance(field, 57, 59, 3133, seed=5).n_samples == 3133
-        assert shapes == [(3133, 2)]
+        assert shapes == [(2, 3133)]
         shapes.clear()
         estimate_covariance(field, 7, 2, 3133, seed=5, n_streams=4)
-        assert shapes == [(784, 2), (783, 2), (783, 2), (783, 2)]
+        assert shapes == [(2, 784), (2, 783), (2, 783), (2, 783)]
+
+
+def ar1_sample_major(lam, labels, noise):
+    """Y at ascending labels over one noise column each, in place: the sample-major walk AR(1) ran before."""
+    term = np.empty(noise.shape[0], dtype=noise.dtype)
+    y = np.zeros_like(term)
+    previous = -1
+    for i, n in enumerate(labels):
+        z = noise[:, i]
+        gap = n - previous
+        if gap == 1:
+            np.multiply(lam, y, out=term)
+        else:
+            np.multiply(lam**gap, y, out=term)
+            z *= math.sqrt(ar1_covariance(lam, gap - 1, 0).real)
+        np.add(term, z, out=z)
+        previous, y = n, z
+    return noise
+
+
+class TestAR1LabelMajor:
+    """AR(1) draws label-major and keeps the bits of the sample-major walk."""
+
+    LAMBDAS = [0j, 0.5 + 0j, -0.9 + 0j, 0.5 + 0.6j, 1 + 0j, 1j]
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_paths_and_batches(self, lam):
+        for n_max in (0, 1, 7, 60):
+            noise = white_noise_sequence(n_max + 1, seed=n_max)
+            want = ar1_sample_major(lam, range(n_max + 1), noise.copy()[None, :])[0]
+            assert simulate_ar1(lam, n_max, seed=n_max).tobytes() == want.tobytes()
+            assert simulate_ar1(lam, n_max, noise=noise).tobytes() == want.tobytes()
+            for n_paths in (1, 5, 1000):
+                want = ar1_sample_major(
+                    lam, range(n_max + 1), white_noise_sequence((n_paths, n_max + 1), seed=3)
+                )
+                got = simulate_ar1_batch(lam, n_max, n_paths, 3)
+                assert got.shape == (n_paths, n_max + 1)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    @pytest.mark.parametrize(
+        "labels", [range(31), [57, 2, 7, 8, 30, 7], [0, 3, 4, 5, 12], [9], []]
+    )
+    def test_field_values(self, lam, labels):
+        ordered = sorted(set(labels))
+        noise = white_noise_sequence((40, len(ordered)), rng=np.random.default_rng(8))
+        want = ar1_sample_major(lam, ordered, noise)
+        got = ar1_field(lam, seed=8).sample_batch(labels, 40)
+        assert sorted(got) == ordered
+        for i, n in enumerate(ordered):
+            assert got[n].flags.c_contiguous
+            assert got[n].tobytes() == want[:, i].tobytes()
+
+
+def ma_reference(beta, noise, at):
+    """:func:`time_series._ma` as it was before wide rows were split: whole rows a block."""
+    step = max(1, stationary_fields._DRAW_CHUNK // max(1, noise.shape[1]))
+    buffers = np.empty((2, min(step, len(at)), noise.shape[1]), dtype=complex)
+    for stop in range(len(at), 0, -step):
+        rows = at[max(0, stop - step) : stop]
+        lo, hi = int(rows[0]), int(rows[-1]) + 1
+        consecutive = hi - lo == len(rows)
+        acc, term = buffers[:, : len(rows)]
+        acc.fill(0)
+        for k, coeff in enumerate(beta):
+            first = int(np.searchsorted(rows, k))
+            if first == len(rows):
+                break
+            t = term[first:]
+            if consecutive:
+                np.multiply(coeff, noise[lo + first - k : hi - k], out=t)
+            else:
+                noise.take(rows[first:] - k, axis=0, out=t, mode="clip")
+                np.multiply(coeff, t, out=t)
+            acc[first:] += t
+        if consecutive:
+            noise[lo:hi] = acc
+        else:
+            noise[rows] = acc
+    return noise
+
+
+@pytest.mark.parametrize("width", [1, 5000, 16384, 16385, 40000])
+@pytest.mark.parametrize("at", [[0, 1, 2, 3, 4, 5], [1, 3, 4], [0, 5]])
+@pytest.mark.parametrize("beta", [(1.0, 1.0), (1.0, 0.5j, -0.2 + 0.1j)])
+def test_ma_rows_wider_than_a_chunk_keep_their_bits(beta, at, width):
+    noise = white_noise_sequence((6, width), seed=width)
+    beta, at = np.asarray(beta, dtype=complex), np.array(at)
+    got = time_series._ma(beta, noise.copy(), at)
+    assert got.tobytes() == ma_reference(beta, noise, at).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,15 @@ A pair is won when the change reads strictly better; ties count for
 neither.  A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile
 range.  Exit 1 also when any run fails or reads ``correct: false``.
+
+With ``--by-kind`` each run's fastest latency per request is read from the
+side's ``.perfbench_out/<workload>-seed<n>-trace0.json`` and summed per
+request kind.  The kind and window of every request come from building
+``Setup(seed).requests`` once per side and workload, in a subprocess in
+that side's tree; the script stops with exit 1 if that list's digest is
+not the run's ``request_list_sha256``.  It prints each side's median sum
+per kind and the pairs the change won, and writes them to ``--out`` under
+``by_kind``: where a ``wall_s`` change sits, with no traced run.
 Standard library only.
 """
 
@@ -39,6 +48,17 @@ import tempfile
 from pathlib import Path
 
 BENCH_SCRIPT = "perfbench/run.py"
+OUT_DIR = ".perfbench_out"
+# Run in a side's tree: its request list's digest, as perfbench/run.py takes
+# it, and the kind and window of each request.
+REQUEST_KINDS = """
+import hashlib, json, sys
+sys.path.insert(0, "perfbench")
+import run
+requests = run.load_module(sys.argv[1]).Setup(int(sys.argv[2])).requests
+digest = hashlib.sha256(json.dumps([r.spec for r in requests], sort_keys=True).encode()).hexdigest()
+print(json.dumps({"digest": digest, "requests": [[r.kind, r.window] for r in requests]}))
+"""
 
 
 def git(repo: Path, *args: str) -> bytes:
@@ -84,6 +104,50 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) ->
     return result
 
 
+def request_kinds(tree: Path, workload: str, seed: int) -> dict:
+    """{"digest", "requests": [[kind, window], ...]} of the workload's request list in ``tree``."""
+    argv = [sys.executable, "-c", REQUEST_KINDS, workload, str(seed)]
+    proc = subprocess.run(argv, cwd=tree, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def kind_sums(tree: Path, workload: str, seed: int, kinds: dict) -> dict[str, float]:
+    """Fastest latency summed per request kind, from the details file of the run just made."""
+    details = json.loads((tree / OUT_DIR / f"{workload}-seed{seed}-trace0.json").read_text())
+    if details["request_list_sha256"] != kinds["digest"]:
+        raise SystemExit(
+            f"{tree.name}: {workload} ran request list {details['request_list_sha256']}, "
+            f"but Setup({seed}) builds {kinds['digest']}"
+        )
+    sums: dict[str, float] = {}
+    for (kind, _), latency in zip(kinds["requests"], details["request_best_s"], strict=True):
+        sums[kind] = sums.get(kind, 0.0) + latency
+    return sums
+
+
+def summarise_kinds(kinds: dict, parent: list[dict], change: list[dict]) -> dict:
+    """Per kind: request count, window span, each side's median sum and the pairs the change won."""
+    out = {}
+    for kind in sorted({k for k, _ in kinds["requests"]}):
+        windows = [w for k, w in kinds["requests"] if k == kind and w is not None]
+        p = [run[kind] for run in parent]
+        c = [run[kind] for run in change]
+        p1, p_med, p3 = quartiles(p)
+        c_med = statistics.median(c)
+        out[kind] = {
+            "requests": sum(k == kind for k, _ in kinds["requests"]),
+            "windows": [min(windows), max(windows)] if windows else None,
+            "parent_median_s": p_med,
+            "parent_iqr_s": p3 - p1,
+            "change_median_s": c_med,
+            "change_minus_parent_s": c_med - p_med,
+            "change_won_pairs": f"{sum(b < a for a, b in zip(p, c))} of {len(p)}",
+            "parent_runs_s": p,
+            "change_runs_s": c,
+        }
+    return out
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
@@ -119,6 +183,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=12)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument(
+        "--by-kind", action="store_true", help="also sum each run's request latencies per request kind"
+    )
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     # SIGTERM unwinds like an error: subprocess.run kills the running benchmark
@@ -159,6 +226,11 @@ def main(argv=None) -> int:
         ok = True
         for workload in workloads:
             runs = {"parent": [], "change": []}
+            if args.by_kind:
+                kinds = {side: request_kinds(tree, workload, args.seed) for side, tree in trees.items()}
+                if kinds["parent"]["digest"] != kinds["change"]["digest"]:
+                    raise SystemExit(f"{workload}: the two sides build different request lists")
+                sums = {"parent": [], "change": []}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
@@ -169,6 +241,8 @@ def main(argv=None) -> int:
                               f"correct {result['correct']}", file=sys.stderr)
                         print(result.get("stderr_tail", ""), file=sys.stderr)
                     runs[side].append(result)
+                    if args.by_kind and result["returncode"] == 0:
+                        sums[side].append(kind_sums(trees[side], workload, args.seed, kinds[side]))
             summary = {
                 "correct": all(r["correct"] for side in runs.values() for r in side),
                 "failed": sum(r.get("failed") or 0 for side in runs.values() for r in side),
@@ -191,6 +265,15 @@ def main(argv=None) -> int:
                     f"within bound {entry['within_bound']}",
                     flush=True,
                 )
+            if args.by_kind and len(sums["parent"]) == len(sums["change"]) == args.pairs:
+                summary["by_kind"] = summarise_kinds(kinds["parent"], sums["parent"], sums["change"])
+                for kind, entry in summary["by_kind"].items():
+                    print(
+                        f"{workload:16s} {kind:20s} parent {entry['parent_median_s']:.6g} s "
+                        f"(IQR {entry['parent_iqr_s']:.3g})  change {entry['change_median_s']:.6g} s  "
+                        f"{entry['change_minus_parent_s']:+.3g} s  won {entry['change_won_pairs']}",
+                        flush=True,
+                    )
             report["workloads"][workload] = summary
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if ok else 1
