@@ -375,7 +375,7 @@ class TorusDual(DualStructure):
     def tensor(self, a: Label, b: Label) -> DualVector:
         # A sum of Python integers, so it is checked, never wrapped.
         total = self.validate_derived_label(a) + self.validate_derived_label(b)
-        return DualVector._units((self.validate_derived_label(total),))
+        return DualVector({self.validate_derived_label(total): 1})
 
     def terms(self, a, b):
         k = (a + b).ravel()

@@ -58,7 +58,9 @@ def simulate_ar1_batch(lam: complex, n_max: int, n_paths: int, seed) -> np.ndarr
 
     The paths are built label-major over their own noise draw by
     :func:`_ar1_at`, one step of the recursion per index, and returned as
-    its transposed view: column n is one contiguous block.
+    its transposed view: column n is one contiguous block.  The array is
+    Fortran-ordered, not C-contiguous, so one path is read with a stride
+    of ``n_paths`` values; ``np.ascontiguousarray`` gives row-major paths.
     """
     noise = _white_noise_rows(n_max + 1, n_paths, np.random.default_rng(seed))
     return _ar1_at(lam, range(n_max + 1), noise).T

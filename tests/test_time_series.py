@@ -573,6 +573,7 @@ class TestAR1LabelMajor:
                 )
                 got = simulate_ar1_batch(lam, n_max, n_paths, 3)
                 assert got.shape == (n_paths, n_max + 1)
+                assert got.flags.f_contiguous  # the label-major rows, transposed
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lam", LAMBDAS)

@@ -21,14 +21,16 @@ neither.  A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile
 range.  Exit 1 also when any run fails or reads ``correct: false``.
 
-With ``--by-kind`` each run's fastest latency per request is read from the
-side's ``.perfbench_out/<workload>-seed<n>-trace0.json`` and summed per
-request kind.  The kind and window of every request come from building
+Each run's fastest latency per request is also read from the side's
+``.perfbench_out/<workload>-seed<n>-trace0.json`` and summed per request
+kind.  The kind and window of every request come from building
 ``Setup(seed).requests`` once per side and workload, in a subprocess in
-that side's tree; the script stops with exit 1 if that list's digest is
-not the run's ``request_list_sha256``.  It prints each side's median sum
-per kind and the pairs the change won, and writes them to ``--out`` under
-``by_kind``: where a ``wall_s`` change sits, with no traced run.
+that side's tree.  Each side's median sum per kind and the pairs the change
+won are printed and written to ``--out`` under ``by_kind``: where a
+``wall_s`` change sits, with no traced run.  The table is left out when the
+two sides build different request lists, when a side cannot build its list,
+or when a run's details file is missing, has no ``request_best_s`` or ran a
+list of another digest.
 Standard library only.
 """
 
@@ -104,23 +106,27 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) ->
     return result
 
 
-def request_kinds(tree: Path, workload: str, seed: int) -> dict:
-    """{"digest", "requests": [[kind, window], ...]} of the workload's request list in ``tree``."""
+def request_kinds(tree: Path, workload: str, seed: int) -> dict | None:
+    """{"digest", "requests": [[kind, window], ...]} of the workload's request list in ``tree``, or None."""
     argv = [sys.executable, "-c", REQUEST_KINDS, workload, str(seed)]
-    proc = subprocess.run(argv, cwd=tree, check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        return None
 
 
-def kind_sums(tree: Path, workload: str, seed: int, kinds: dict) -> dict[str, float]:
-    """Fastest latency summed per request kind, from the details file of the run just made."""
-    details = json.loads((tree / OUT_DIR / f"{workload}-seed{seed}-trace0.json").read_text())
-    if details["request_list_sha256"] != kinds["digest"]:
-        raise SystemExit(
-            f"{tree.name}: {workload} ran request list {details['request_list_sha256']}, "
-            f"but Setup({seed}) builds {kinds['digest']}"
-        )
+def kind_sums(tree: Path, workload: str, seed: int, kinds: dict) -> dict[str, float] | None:
+    """Fastest latency summed per request kind, from the details file of the run just made, or None."""
+    try:
+        details = json.loads((tree / OUT_DIR / f"{workload}-seed{seed}-trace0.json").read_text())
+    except (OSError, json.JSONDecodeError):
+        return None
+    latencies = details.get("request_best_s") or []
+    if details.get("request_list_sha256") != kinds["digest"] or len(latencies) != len(kinds["requests"]):
+        return None
     sums: dict[str, float] = {}
-    for (kind, _), latency in zip(kinds["requests"], details["request_best_s"], strict=True):
+    for (kind, _), latency in zip(kinds["requests"], latencies):
         sums[kind] = sums.get(kind, 0.0) + latency
     return sums
 
@@ -183,9 +189,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=12)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument(
-        "--by-kind", action="store_true", help="also sum each run's request latencies per request kind"
-    )
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     # SIGTERM unwinds like an error: subprocess.run kills the running benchmark
@@ -226,11 +229,11 @@ def main(argv=None) -> int:
         ok = True
         for workload in workloads:
             runs = {"parent": [], "change": []}
-            if args.by_kind:
-                kinds = {side: request_kinds(tree, workload, args.seed) for side, tree in trees.items()}
-                if kinds["parent"]["digest"] != kinds["change"]["digest"]:
-                    raise SystemExit(f"{workload}: the two sides build different request lists")
-                sums = {"parent": [], "change": []}
+            # Per-kind sums only where both sides build the same request list.
+            kinds = request_kinds(trees["parent"], workload, args.seed)
+            if kinds is None or kinds != request_kinds(trees["change"], workload, args.seed):
+                kinds = None
+            sums = {"parent": [], "change": []}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
@@ -241,8 +244,8 @@ def main(argv=None) -> int:
                               f"correct {result['correct']}", file=sys.stderr)
                         print(result.get("stderr_tail", ""), file=sys.stderr)
                     runs[side].append(result)
-                    if args.by_kind and result["returncode"] == 0:
-                        sums[side].append(kind_sums(trees[side], workload, args.seed, kinds[side]))
+                    if kinds is not None and result["returncode"] == 0:
+                        sums[side].append(kind_sums(trees[side], workload, args.seed, kinds))
             summary = {
                 "correct": all(r["correct"] for side in runs.values() for r in side),
                 "failed": sum(r.get("failed") or 0 for side in runs.values() for r in side),
@@ -265,8 +268,8 @@ def main(argv=None) -> int:
                     f"within bound {entry['within_bound']}",
                     flush=True,
                 )
-            if args.by_kind and len(sums["parent"]) == len(sums["change"]) == args.pairs:
-                summary["by_kind"] = summarise_kinds(kinds["parent"], sums["parent"], sums["change"])
+            if all(len(v) == args.pairs and None not in v for v in sums.values()):
+                summary["by_kind"] = summarise_kinds(kinds, sums["parent"], sums["change"])
                 for kind, entry in summary["by_kind"].items():
                     print(
                         f"{workload:16s} {kind:20s} parent {entry['parent_median_s']:.6g} s "
