@@ -68,13 +68,20 @@ PEAK_PER_ROW = 32
 # (complex AR(1), atoms under the normalized kind).  Re-measured on 0..299
 # with witnesses ordered on their first read, the same bytes as with the
 # eager order: ar1:0.99,0.1 2129-2137 bytes a pair over the three kinds,
-# atoms under the normalized kind 2071, ar1:0.5,0.6 1342-1347.
+# atoms under the normalized kind 2071, ar1:0.5,0.6 1342-1347.  Since one
+# label plan serves both sides of a check, on 0..299: 57 bytes a pair for
+# white noise, 65 for MA and for passing Kolmogorov checks (heat 315 and
+# atoms 2070 normalized), the AR(1) figures unchanged.
 PEAK_PER_PAIR = 160
 # What a check on SU(2) holds per irreducible its pairs cover (0 .. 2 * the
 # largest label), in complex values, counted apart from the pairs.  Measured
 # under tracemalloc on windows of 4 labels from 10^3 to 2 * 10^5 over every
 # field spec and the three kinds: at most 135 bytes for white noise, 153 for
-# MA, 193 for AR(1) and 263 for a Kolmogorov field on two atoms.  The Fourier
+# MA, 193 for AR(1) and 263 for a Kolmogorov field on two atoms.  With one
+# label plan per check, which holds its take index while the oracle fills the
+# C(k) column: 106 for white noise, 129 for MA, 193 for AR(1), 206 for heat
+# and SU(2) Haar and 255 on two atoms (126, 126, 185, 198 and 247 before it,
+# remeasured alike); white noise on 524284..524287 normalized, 83.  The Fourier
 # transform of an SU(2) measure of atoms or a given density also keeps the
 # characters at its atoms and quadrature nodes, up to 25 bytes a point, counted
 # as PEAK_PER_POINT.  A character-series measure (heat, SU(2) Haar) answers from

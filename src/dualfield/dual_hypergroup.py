@@ -672,8 +672,7 @@ def convolve(
     ``normalized`` rescales each component by d / (d1 d2), which makes
     point masses convolve to probability vectors.
     """
-    if kind not in ("representation_ring", "normalized"):
-        raise ValueError(f"unknown convolution kind {kind!r}")
+    _check_kind(kind)
     out: dict[Label, complex] = {}
     for a, ca in m1.items():
         for b, cb in m2.items():
@@ -724,6 +723,13 @@ def pair_grid(
     irreducible that occurs, and returns their values as one complex
     array, which is only read; entry (i, j) is the :func:`pair_matrix`
     entry for a = rows[i], b = columns[j].  Each label is validated once.
+    Non-finite values give what the per-pair sums give, with no warning.
+
+    The work is split in two.  A plan (:func:`_pair_plan`) reads only the
+    labels: it validates them and lays out which irreducibles each pair
+    sums.  A values pass (:func:`_pair_values`) calls ``values_at`` and
+    sums.  One plan serves any number of values passes, so a check plans
+    its window once for both of its sides.
 
     On duals with a :meth:`~DualStructure.band` (SU(2)) the terms of a
     pair are a progression, so pairs that start at the same irreducible
@@ -732,8 +738,19 @@ def pair_grid(
     The normalized kind runs the same path on d_k value(k) and scales
     the result once by 1 / (d_a d_b).
     """
+    _check_kind(kind)
+    plan = _pair_plan(dual, rows, columns)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _pair_values(plan, values_at, kind)
+
+
+def _check_kind(kind) -> None:
     if kind not in ("representation_ring", "normalized"):
         raise ValueError(f"unknown convolution kind {kind!r}")
+
+
+def _pair_plan(dual: DualStructure, rows, columns) -> "_PairPlan":
+    """What a pair sum over rows x columns needs of the labels alone (see :func:`pair_grid`)."""
     rows = list(rows)
     columns = rows if columns is None else list(columns)
     if not rows or not columns:
@@ -742,28 +759,61 @@ def pair_grid(
     y = x if columns is rows else dual.validate_labels(columns)
     a = x[:, None]
     b = dual.conjugates(y)[None, :]
-    dims = dual.dims if kind == "normalized" else None
     band = dual.band(a, b)
     if band is None:
-        pair, k, m = dual.terms(a, b)
-        ks, at = np.unique(k, return_inverse=True)
-        values = values_at(ks.tolist())[at]
-        if dims is not None:
-            values *= dims(k)
-        # Terms listed by pair, then ascending k: the per-pair sum from 0j.
-        out = np.zeros(len(x) * len(y), dtype=complex)
-        np.add.at(out, pair, m * values)
-    else:
-        first, span, step = band
-        out = _band_ring(first.ravel(), span.ravel(), step, values_at, dims)
-    out = out.reshape(len(x), len(y))
+        return _TermPlan(dual, x, y, *dual.terms(a, b))
+    first, span, step = band
+    return _BandPlan(dual, x, y, first.ravel(), span.ravel(), step)
+
+
+def _pair_values(plan: "_PairPlan", values_at, kind="representation_ring") -> np.ndarray:
+    """The :func:`pair_grid` entries of ``plan`` from one ``values_at`` call.
+
+    Runs under the caller's ``np.errstate``: non-finite values may raise
+    numpy's invalid and overflow flags.
+    """
+    dims = plan.dual.dims if kind == "normalized" else None
+    out = plan.ring(values_at, dims).reshape(len(plan.x), len(plan.y))
     if dims is not None:
         # Real and imaginary parts apart: a complex multiply may fuse its
         # products, which moves the sign of a part that underflows to 0.
-        scale = 1.0 / (dims(x)[:, None] * dims(y)[None, :])
+        scale = 1.0 / (dims(plan.x)[:, None] * dims(plan.y)[None, :])
         out.real *= scale
         out.imag *= scale
     return out
+
+
+class _PairPlan:
+    """The validated rows ``x`` and columns ``y`` of a pair sum, and how its pairs sum.
+
+    :meth:`ring` returns the flat ring sums of value(k), or of dims(k)
+    value(k) when ``dims`` is given, from one ``values_at`` call.
+    """
+
+    __slots__ = ("dual", "x", "y")
+
+    def __init__(self, dual, x, y):
+        self.dual, self.x, self.y = dual, x, y
+
+
+class _TermPlan(_PairPlan):
+    """Every term listed once, by pair and then ascending k (:meth:`DualStructure.terms`)."""
+
+    __slots__ = ("pair", "k", "m", "ks", "at")
+
+    def __init__(self, dual, x, y, pair, k, m):
+        super().__init__(dual, x, y)
+        self.pair, self.k, self.m = pair, k, m
+        self.ks, self.at = np.unique(k, return_inverse=True)
+
+    def ring(self, values_at, dims):
+        values = values_at(self.ks.tolist())[self.at]
+        if dims is not None:
+            values *= dims(self.k)
+        # Terms listed by pair, then ascending k: the per-pair sum from 0j.
+        out = np.zeros(len(self.x) * len(self.y), dtype=complex)
+        np.add.at(out, self.pair, self.m * values)
+        return out
 
 
 # Entries per block of the running-sum table: bounds its memory on windows
@@ -771,65 +821,98 @@ def pair_grid(
 _BAND_BLOCK = 1 << 20
 
 
-def _band_values(first, span, step, values_at, dims):
-    """Values at offset k - first.min(), from one ``values_at`` call on every k that occurs.
+class _BandPlan(_PairPlan):
+    """Multiplicity-one progressions first + step t, t = 0 .. span, summed from running sums.
 
-    With ``dims`` each value is multiplied by dims(k) in this table, never
-    in the array ``values_at`` returned.  Irreducibles that do not occur
-    hold 0j; the array ends with at least one such slot.
+    Irreducibles are held as offsets from the smallest first one, ``lo``;
+    ``offsets`` are those some pair covers.  Pairs that start at the same
+    offset share one column of running sums.  When the starts are dense
+    (their range is below the number of rows and columns, as on a
+    contiguous window) every offset up to the last start has a column, so
+    a pair's column is its start offset; otherwise the distinct starts are
+    marked in a boolean array, with no sort.  A range below the number of
+    pairs would be too loose: on the window 0 .. 38 and 1598 it gives 1599
+    columns where 79 start, and a sum ten times slower.  A table of at
+    most ``_BAND_BLOCK`` entries is summed with one precomputed take index
+    and read with one gather; a larger one in blocks of rows.
     """
-    lo = int(first.min())
-    last = first + step * span
-    size = step * ((int(last.max()) - lo) // step + 2)
-    # Progressions start and stop in one residue class mod step, so a
-    # cumulative count per class marks the irreducibles some pair covers.
-    cover = np.bincount(first - lo, minlength=size) - np.bincount(last - lo + step, minlength=size)
-    offsets = np.flatnonzero(cover.reshape(-1, step).cumsum(axis=0).ravel())
-    del cover  # a count per slot, freed before the table takes as many
-    table = np.zeros(size, dtype=complex)
-    table[offsets] = values_at((offsets + lo).tolist())
-    if dims is not None:
-        table[offsets] *= dims(offsets + lo)
-    return lo, table
 
+    __slots__ = ("lo", "size", "offsets", "index", "gather", "blocks")
 
-def _band_ring(first, span, step, values_at, dims):
-    """Multiplicity-one progressions summed from running sums per first irreducible.
+    def __init__(self, dual, x, y, first, span, step):
+        super().__init__(dual, x, y)
+        self.lo = lo = int(first.min())
+        at = first - lo
+        last = at + step * span
+        # A slot past the last irreducible stays 0j: the index of every term
+        # a column does not have.
+        self.size = size = step * (int(last.max()) // step + 2)
+        # Progressions start and stop in one residue class mod step, so a
+        # cumulative count per class marks the irreducibles some pair covers.
+        cover = np.bincount(at, minlength=size) - np.bincount(last + step, minlength=size)
+        self.offsets = np.flatnonzero(cover.reshape(-1, step).cumsum(axis=0).ravel())
+        del cover  # a count per slot, freed before the take index is built
+        reach = int(at.max())
+        if reach < len(x) + len(y):
+            starts = np.arange(reach + 1)
+            row = at
+        else:
+            mark = np.zeros(reach + 1, dtype=bool)
+            mark[at] = True
+            starts = np.flatnonzero(mark)
+            row = (np.cumsum(mark) - 1)[at]
+        # Columns no pair starts at keep top -1 and read only the 0j slot.
+        top = np.full(len(starts), -1)
+        np.maximum.at(top, row, span)
+        end = int(top.max()) + 1
+        width = min(end, max(1, _BAND_BLOCK // len(starts)))
+        if width == end:
+            t = np.arange(end)[:, None]
+            self.index = np.where(t <= top, starts + step * t, size - 1)
+            # Flat positions of row span + 1 in the (end + 1) x columns table.
+            self.gather = (span + 1) * len(starts) + row
+            self.blocks = None
+        else:
+            self.index = self.gather = None
+            self.blocks = (starts, top, span, row, step, width, end)
 
-    Entry p is the sum from 0j of value(k), or of dims(k) value(k) when
-    ``dims`` is given, over k = first[p] + step t for t = 0 .. span[p], in
-    ascending k.
-    """
-    lo, values = _band_values(first, span, step, values_at, dims)
-    # Multiplicity 1 times value(k) by the per-pair complex multiply, which
-    # fixes the bits of non-finite values.
-    terms = np.ones(len(values), dtype=int) * values
-    # The distinct starts in ascending order, and the row of each pair's, by
-    # marking the start offsets: no sort.
-    mark = np.zeros(int(first.max()) - lo + 1, dtype=bool)
-    mark[first - lo] = True
-    starts = np.flatnonzero(mark)
-    row = (np.cumsum(mark) - 1)[first - lo]
-    top = np.zeros(len(starts), dtype=int)
-    np.maximum.at(top, row, span)
-    # Row t + 1 - t0 of a block holds, per start, the sum of its terms 0 .. t.
-    # Row 0 carries the last row of the previous block; the first starts at 0j.
-    out = np.empty(len(first), dtype=complex)
-    end = int(top.max()) + 1
-    width = min(end, max(1, _BAND_BLOCK // len(starts)))
-    running = np.zeros((width + 1, len(starts)), dtype=complex)
-    for t0 in range(0, end, width):
-        t = np.arange(t0, min(t0 + width, end))[:, None]
-        index = np.where(t <= top, starts + step * t, len(terms) - 1)
-        running[0] = running[-1]
-        block = running[: len(t) + 1]
-        # Every index is in range; "clip" only spares take a buffered copy.
-        np.take(terms, index, out=block[1:], mode="clip")
-        del index  # before the gather's temporaries
-        np.add.accumulate(block, axis=0, out=block)
-        here = (t0 <= span) & (span < t0 + width)
-        out[here] = block[span[here] + (1 - t0), row[here]]
-    return out
+    def ring(self, values_at, dims):
+        ks = self.offsets + self.lo
+        values = np.asarray(values_at(ks.tolist()), dtype=complex)
+        if dims is not None:
+            values = values * dims(ks)
+        terms = np.zeros(self.size, dtype=complex)
+        # Multiplicity 1 times value(k) by the per-pair complex multiply, which
+        # fixes the bits of non-finite values; the other slots hold 1 * 0j = 0j.
+        terms[self.offsets] = np.ones(len(values), dtype=int) * values
+        if self.index is not None:
+            # Row t + 1 holds, per column, the sum of its terms 0 .. t; row 0 is 0j.
+            running = np.empty((len(self.index) + 1, self.index.shape[1]), dtype=complex)
+            running[0] = 0
+            # Every index is in range; "clip" only spares take a buffered copy.
+            np.take(terms, self.index, out=running[1:], mode="clip")
+            np.add.accumulate(running, axis=0, out=running)
+            return running.ravel()[self.gather]
+        return self._blocked(terms)
+
+    def _blocked(self, terms):
+        """:meth:`ring`'s sums over more than ``_BAND_BLOCK`` entries, by blocks of rows."""
+        starts, top, span, row, step, width, end = self.blocks
+        # Row t + 1 - t0 of a block holds, per start, the sum of its terms 0 .. t.
+        # Row 0 carries the last row of the previous block; the first starts at 0j.
+        out = np.empty(len(span), dtype=complex)
+        running = np.zeros((width + 1, len(starts)), dtype=complex)
+        for t0 in range(0, end, width):
+            t = np.arange(t0, min(t0 + width, end))[:, None]
+            index = np.where(t <= top, starts + step * t, len(terms) - 1)
+            running[0] = running[-1]
+            block = running[: len(t) + 1]
+            np.take(terms, index, out=block[1:], mode="clip")
+            del index  # before the gather's temporaries
+            np.add.accumulate(block, axis=0, out=block)
+            here = (t0 <= span) & (span < t0 + width)
+            out[here] = block[span[here] + (1 - t0), row[here]]
+        return out
 
 
 def conjugate_vector(dual: DualStructure, m: DualVector) -> DualVector:

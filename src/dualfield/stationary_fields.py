@@ -25,6 +25,9 @@ from .dual_hypergroup import (
     DualStructure,
     DualVector,
     Label,
+    _check_kind,
+    _pair_plan,
+    _pair_values,
     pair_grid,
     per_label,
 )
@@ -124,7 +127,8 @@ class FieldSampler:
     ``_rng`` is read, so fields used only for their moments never import
     ``numpy.random``.  A subclass that overrides ``second_moment`` but not
     ``second_moment_matrix`` gets the per-pair matrix, never the array form
-    of the class it extends.
+    of the class it extends; one that overrides either but not
+    ``_plan_matrix`` is asked for ``second_moment_matrix`` in a check.
     """
 
     dual: DualStructure
@@ -143,6 +147,9 @@ class FieldSampler:
         super().__init_subclass__(**kwargs)
         if "second_moment" in cls.__dict__ and "second_moment_matrix" not in cls.__dict__:
             cls.second_moment_matrix = FieldSampler.second_moment_matrix
+        moments = {"second_moment", "second_moment_matrix"} & cls.__dict__.keys()
+        if moments and "_plan_matrix" not in cls.__dict__:
+            cls._plan_matrix = FieldSampler._plan_matrix
 
     def sample_batch(self, labels: Iterable[Label], count: int) -> dict[Label, np.ndarray]:
         """Draw ``count`` independent joint samples at the given labels."""
@@ -164,6 +171,14 @@ class FieldSampler:
         ``columns`` defaults to ``labels``.
         """
         return pairwise_matrix(self.second_moment, labels, columns)
+
+    def _plan_matrix(self, plan) -> np.ndarray | None:
+        """``second_moment_matrix`` over a check's pair plan, from its validated labels.
+
+        None where the field has no such form; the check then asks
+        ``second_moment_matrix``.
+        """
+        return None
 
     def _window(self, labels, columns):
         """Validated row and column label arrays of a moment matrix.
@@ -203,8 +218,10 @@ class WhiteNoiseField(FieldSampler):
         return 1.0 + 0j if a == b else 0j
 
     def second_moment_matrix(self, labels, columns=None):
-        rows, cols = self._window(labels, columns)
-        return (rows[:, None] == cols[None, :]).astype(complex)
+        return _equal(*self._window(labels, columns))
+
+    def _plan_matrix(self, plan):
+        return _equal(plan.x, plan.y)
 
     def reseeded(self, seed):
         return WhiteNoiseField(self.dual, seed)
@@ -242,6 +259,9 @@ class KolmogorovField(FieldSampler):
 
     def second_moment_matrix(self, labels, columns=None):
         return _transform_matrix(self, labels, columns, per_label(self._fourier))
+
+    def _plan_matrix(self, plan):
+        return _pair_values(plan, per_label(self._fourier))
 
     def covariance(self, label: Label) -> complex:
         """C(label) = E(Y_label conj(Y_neutral)) = transform of the measure."""
@@ -316,20 +336,34 @@ class TranslatedField(FieldSampler):
                 total += m1 * np.conj(m2) * self.base.second_moment(k1, k2)
         return complex(total)
 
-    def second_moment_matrix(self, labels, columns=None):
-        if not self._over_white_noise():
-            return super().second_moment_matrix(labels, columns)
+    def _square_values(self):
+        """The ``values_at`` of k -> m_{s (x) conj(s)}(k), from one ``tensor`` call.
+
+        Irreducibles that do not occur in s (x) conj(s) get 0j.
+        """
         support, mult = (np.array(x) for x in zip(*sorted(self._square().items())))
 
         def values_at(ks):
-            """m_{s (x) conj(s)}(k), 0j where k does not occur."""
             at = np.minimum(np.searchsorted(support, ks), len(support) - 1)
             return np.where(support[at] == ks, mult[at], 0j)
 
-        return _transform_matrix(self, labels, columns, values_at)
+        return values_at
+
+    def second_moment_matrix(self, labels, columns=None):
+        if not self._over_white_noise():
+            return super().second_moment_matrix(labels, columns)
+        return _transform_matrix(self, labels, columns, self._square_values())
+
+    def _plan_matrix(self, plan):
+        return _pair_values(plan, self._square_values()) if self._over_white_noise() else None
 
     def reseeded(self, seed):
         return TranslatedField(self.base.reseeded(seed), self.shift)
+
+
+def _equal(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The white-noise moments of validated rows x columns: 1 where the labels are equal."""
+    return (rows[:, None] == cols[None, :]).astype(complex)
 
 
 def _transform_matrix(field: FieldSampler, labels, columns, transform) -> np.ndarray:
@@ -513,8 +547,8 @@ def moment_matrix(
     equal the per-pair values bit for bit.  Every other callable is asked
     once per pair.
     """
-    owner = getattr(oracle, "__self__", None)
-    if isinstance(owner, FieldSampler) and oracle == owner.second_moment:
+    owner = _field_of(oracle)
+    if owner is not None:
         return owner.second_moment_matrix(labels, columns)
     matrix = getattr(oracle, "matrix", None)
     if matrix is not None:
@@ -522,9 +556,18 @@ def moment_matrix(
     return pairwise_matrix(oracle, labels, columns)
 
 
+def _field_of(oracle) -> FieldSampler | None:
+    """The field whose bound ``second_moment`` ``oracle`` is, or None."""
+    owner = getattr(oracle, "__self__", None)
+    if isinstance(owner, FieldSampler) and oracle == owner.second_moment:
+        return owner
+    return None
+
+
 def _check_pairs(condition, dual, oracle, labels, kind, tol):
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    _check_kind(kind)
     labels = list(labels)
     n = len(labels)
 
@@ -532,10 +575,21 @@ def _check_pairs(condition, dual, oracle, labels, kind, tol):
         """C(k) = E(Y_k conj(Y_neutral)) for every k that occurs, in one call."""
         return moment_matrix(oracle, ks, [dual.neutral]).ravel()
 
+    # One plan of the window serves the right side and, when the oracle is a
+    # field's over this dual or another of its type with no table, the left.
+    plan = _pair_plan(dual, labels, None)
+    field = _field_of(oracle)
+    shared = field is not None and (
+        field.dual is dual or (type(field.dual) is type(dual) and not dual.is_finite)
+    )
     # Non-finite moments are refused below, so their arithmetic needs no warning.
     with np.errstate(invalid="ignore", over="ignore"):
-        rhs = pair_grid(dual, labels, None, covariance, kind).ravel()
-        lhs = moment_matrix(oracle, labels).ravel()
+        rhs = _pair_values(plan, covariance, kind).ravel()
+        lhs = field._plan_matrix(plan) if shared else None
+        del plan  # freed before an oracle's own matrix is built
+        if lhs is None:
+            lhs = moment_matrix(oracle, labels)
+        lhs = lhs.ravel()
         finite = np.isfinite(lhs) & np.isfinite(rhs)
         if not finite.all():
             p = int(np.argmin(finite))

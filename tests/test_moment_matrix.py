@@ -13,6 +13,7 @@ import cmath
 import json
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from dualfield import (
     translate,
     white_noise,
 )
+from dualfield import dual_hypergroup, stationary_fields
 from dualfield.cli import main
 from dualfield.dual_hypergroup import FiniteGroupDual, SU2Dual, TorusDual, pair_matrix
 from dualfield.stationary_fields import (
@@ -311,6 +313,7 @@ class TestScalarCallsPerCheck:
 
 S3 = load_character_table("s3")
 Q8 = load_character_table("q8")
+Q8_FILE = Path(dual_hypergroup.__file__).parent / "data" / "q8.json"
 SOURCES = field_oracles(SU2, S3, Q8)
 
 
@@ -392,6 +395,7 @@ class TestSubclassOverridingOnlyTheScalar:
 class TestLabelsValidatedOnce:
     @pytest.mark.parametrize("kind", ["representation_ring", "normalized"])
     def test_pair_matrix_validates_the_window_once(self, monkeypatch, kind):
+        # The plan validates the window; a values pass on the plan validates nothing.
         calls = []
         original = SU2Dual.validate_labels
 
@@ -400,8 +404,83 @@ class TestLabelsValidatedOnce:
             return original(self, labels)
 
         monkeypatch.setattr(SU2Dual, "validate_labels", counted)
-        pair_matrix(SU2, [3, 1, 2], lambda k: 1.0, kind)
+        got = pair_matrix(SU2, [3, 1, 2], lambda k: 1.0, kind)
         assert calls == [[3, 1, 2]]
+        calls.clear()
+        plan = dual_hypergroup._pair_plan(SU2, [3, 1, 2], None)
+        assert calls == [[3, 1, 2]]
+        ones = lambda ks: np.ones(len(ks))  # noqa: E731
+        again = [dual_hypergroup._pair_values(plan, ones, kind) for _ in "ab"]
+        assert calls == [[3, 1, 2]]
+        assert got.tobytes() == again[0].tobytes() == again[1].tobytes()
+
+    @pytest.mark.parametrize("check", KINDS)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # The heat measure brings its own SU(2) dual, not the check's.
+            lambda: kolmogorov_field(heat_kernel_measure(0.3)),
+            lambda: translate(white_noise(SU2), 2),
+            lambda: white_noise(SU2),
+        ],
+        ids=["kolmogorov", "translated", "whitenoise"],
+    )
+    def test_check_plans_and_validates_the_window_once(self, monkeypatch, check, make):
+        field = make()
+        window = [4, 0, 6, 1, 3]
+        want = run_check(check, SU2, lambda a, b: field.second_moment(a, b), window, 1e-12)
+        plans, validated = [], []
+        plan, validate = dual_hypergroup._pair_plan, SU2Dual.validate_labels
+
+        def planning(*args):
+            plans.append(args)
+            return plan(*args)
+
+        def counted(self, labels):
+            validated.append(list(labels))
+            return validate(self, labels)
+
+        # The check's module imports the plan by name; pair_grid reads it here.
+        monkeypatch.setattr(dual_hypergroup, "_pair_plan", planning)
+        monkeypatch.setattr(stationary_fields, "_pair_plan", planning)
+        monkeypatch.setattr(SU2Dual, "validate_labels", counted)
+        got = run_check(check, SU2, field.second_moment, window, 1e-12)
+        assert len(plans) == 1
+        assert validated.count(window) == 1
+        assert report_bits(got) == report_bits(want)
+
+    def test_a_field_over_another_table_keeps_its_own_matrix(self, monkeypatch):
+        # A q8 table loaded again is another dual: the check does not hand it its plan.
+        copy = load_character_table(json.loads(Q8_FILE.read_text()))
+        field = kolmogorov_field(FiniteClassMeasure(copy, [0.1, 0.2, 0.3, 0.15, 0.25]))
+        plans = []
+        plan = dual_hypergroup._pair_plan
+
+        def planning(*args):
+            plans.append(args[0])
+            return plan(*args)
+
+        monkeypatch.setattr(dual_hypergroup, "_pair_plan", planning)
+        monkeypatch.setattr(stationary_fields, "_pair_plan", planning)
+        got = check_stationarity(Q8, field.second_moment, Q8.labels())
+        assert plans == [Q8, copy]
+        want = check_stationarity(Q8, lambda a, b: field.second_moment(a, b), Q8.labels())
+        assert report_bits(got) == report_bits(want)
+
+    def test_a_field_that_overrides_its_matrix_is_asked_for_it(self):
+        class Counted(KolmogorovField):
+            calls = []
+
+            def second_moment_matrix(self, labels, columns=None):
+                self.calls.append(columns)
+                return super().second_moment_matrix(labels, columns)
+
+        field = Counted(heat_kernel_measure(0.3))
+        got = check_stationarity(SU2, field.second_moment, range(5))
+        # The column C(k), then the window: the check's plan is not handed to it.
+        assert Counted.calls == [[0], None]
+        want = check_stationarity(SU2, lambda a, b: field.second_moment(a, b), range(5))
+        assert report_bits(got) == report_bits(want)
 
     @pytest.mark.parametrize("check", KINDS)
     @pytest.mark.parametrize(

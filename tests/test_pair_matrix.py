@@ -15,10 +15,11 @@ per-term sum.
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualfield import (
@@ -690,15 +691,137 @@ class TestNormalizedKind:
         assert math.copysign(1.0, got[0, 0].real) == -1.0
 
     def test_one_ring_kernel_call(self, monkeypatch):
-        calls = []
-        ring = dual_hypergroup._band_ring
+        # One plan of the labels, one ring values pass on d_k value(k), then the scale.
+        plans, rings = [], []
+        plan, ring = dual_hypergroup._pair_plan, dual_hypergroup._BandPlan.ring
 
-        def counting(*args):
-            calls.append(args)
-            return ring(*args)
+        def planning(*args):
+            plans.append(args)
+            return plan(*args)
 
-        monkeypatch.setattr(dual_hypergroup, "_band_ring", counting)
+        def summing(self, values_at, dims):
+            rings.append(dims)
+            return ring(self, values_at, dims)
+
+        monkeypatch.setattr(dual_hypergroup, "_pair_plan", planning)
+        monkeypatch.setattr(dual_hypergroup._BandPlan, "ring", summing)
         got = pair_matrix(SU2, range(9), complex, "normalized")
-        assert len(calls) == 1
+        assert len(plans) == 1
+        assert rings == [SU2.dims]
         assert got.tobytes() == ref_pair_matrix(SU2, range(9), complex, "normalized").tobytes()
         assert not hasattr(dual_hypergroup, "_band_normalized")
+
+
+# ---------------------------------------------------------------------------
+# The values pass on a plan: windows up to 2**19, non-finite values
+# ---------------------------------------------------------------------------
+
+INF, NAN = float("inf"), float("nan")
+PASS_VALUES = st.one_of(
+    st.sampled_from(SIGNED_ZEROS),
+    st.sampled_from([INF, -INF, NAN, complex(INF, -0.0), complex(-2.0, -INF), complex(0.5, NAN)]),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+# (_BAND_BLOCK, largest label): a block of 1 over 2**19 running rows would
+# loop 2**19 times, so the small blocks run on small labels.
+BLOCKS = [(1, 2**7), (7, 2**9), (64, 2**11), (dual_hypergroup._BAND_BLOCK, 2**19)]
+
+
+@st.composite
+def pass_windows(draw, starts):
+    """(block, rows, columns) of an SU(2) window whose starts |a - b| are dense or marked.
+
+    Dense: the starts span less than the number of rows and columns.  Rows
+    and columns are unsorted, may repeat, and columns differ from rows or
+    are None.
+    """
+    block, bound = draw(st.sampled_from(BLOCKS))
+    if starts == "dense":
+        base = draw(st.one_of(st.integers(0, bound - 7), st.sampled_from([bound // 2, bound - 7])))
+        label = st.integers(base, base + 7)
+    else:
+        label = st.one_of(st.integers(0, bound), st.sampled_from([0, 1, bound - 1, bound]))
+    rows = draw(st.lists(label, min_size=1, max_size=5))
+    columns = draw(st.one_of(st.none(), st.lists(label, min_size=1, max_size=5)))
+    cols = rows if columns is None else columns
+    first = np.abs(np.subtract.outer(rows, cols))
+    assume((int(first.max() - first.min()) < len(rows) + len(cols)) == (starts == "dense"))
+    return block, rows, columns
+
+
+def cyclic_values_at(table):
+    values = np.array(table, dtype=complex)
+    return lambda ks: values[np.asarray(ks, dtype=int) % len(values)]
+
+
+def band_sums(rows, columns, table, normalized):
+    """Per pair, 1 * value(k) (d_k value(k) when normalized) added one by one to 0j, ascending k.
+
+    ``np.add.accumulate`` adds in order, so its last entry is the
+    sequential sum.  Also per pair: convolve's per-term sum of
+    (d_k / (d_a d_b)) value(k), the sum of its terms' magnitudes and their
+    number, as arrays.
+    """
+    values = np.array(table, dtype=complex)
+    ring, near = [], []
+    for a in rows:
+        for b in columns:
+            k = np.arange(abs(a - b), a + b + 1, 2)
+            v = values[k % len(values)]
+            terms = np.ones(len(k), dtype=int) * (v * (k + 1) if normalized else v)
+            ring.append(np.add.accumulate(np.concatenate(([0j], terms)))[-1])
+            c = (1.0 / ((a + 1) * (b + 1))) * (k + 1.0) * v
+            near.append((np.add.accumulate(np.concatenate(([0j], c)))[-1], np.abs(c).sum(), len(k)))
+    return np.array(ring), near
+
+
+def assert_same_bits(got, want):
+    """Every bit of each part, but the sign and payload of a nan."""
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        assert np.array_equal(np.isnan(g), np.isnan(w))
+        finite = ~np.isnan(g)
+        assert g[finite].tobytes() == w[finite].tobytes()
+
+
+class TestValuesPass:
+    @pytest.mark.parametrize("starts", ["dense", "marked"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), kind=KIND)
+    def test_windows_up_to_2_19(self, starts, data, kind):
+        block, rows, columns = data.draw(pass_windows(starts), label="window")
+        # A drawn table, with its non-finite values and signed zeros, and a
+        # random one, whose distinct values show a term read at a wrong offset.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        tables = [
+            data.draw(st.lists(PASS_VALUES, min_size=13, max_size=13), label="table"),
+            (rng.standard_normal(13) + 1j * rng.standard_normal(13)).tolist(),
+        ]
+        cols = rows if columns is None else columns
+        normalized = kind == "normalized"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dual_hypergroup, "_BAND_BLOCK", block)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                fresh = [pair_grid(SU2, rows, columns, cyclic_values_at(t), kind) for t in tables]
+            # One plan, two values passes: the plan is only read.
+            plan = dual_hypergroup._pair_plan(SU2, rows, columns)
+            with np.errstate(invalid="ignore", over="ignore"):
+                shared = [
+                    dual_hypergroup._pair_values(plan, cyclic_values_at(t), kind) for t in tables
+                ]
+        for got, again, table in zip(fresh, shared, tables):
+            assert got.shape == again.shape == (len(rows), len(cols))
+            assert got.tobytes() == again.tobytes()
+            with np.errstate(all="ignore"):
+                ring, near = band_sums(rows, cols, table, normalized)
+                if normalized:
+                    scale = 1.0 / np.multiply.outer(np.add(rows, 1), np.add(cols, 1)).ravel()
+                    ring.real *= scale
+                    ring.imag *= scale
+            assert_same_bits(got.ravel(), ring)
+            if not normalized:
+                assert got.tobytes() == ring.tobytes()
+                continue
+            for entry, (want, size, n) in zip(got.ravel(), near):
+                if np.isfinite(entry) and np.isfinite(want) and np.isfinite(size):
+                    assert abs(entry - want) <= 4 * (n + 2) * (2.0**-53 * size + 2.0**-1074)

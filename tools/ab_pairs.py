@@ -21,9 +21,15 @@ neither.  A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile
 range.  Exit 1 also when any run fails or reads ``correct: false``.
 
-Each run's fastest latency per request is also read from the side's
-``.perfbench_out/<workload>-seed<n>-trace0.json`` and summed per request
-kind.  The kind and window of every request come from building
+Each run's number of passes is read from the side's
+``.perfbench_out/<workload>-seed<n>-trace0.json``, written per run and
+printed as each side's median.  The client keeps every pass's latencies,
+so a faster program makes more passes in the same seconds and its
+``peak_rss_mib`` grows with no change in the program's own peak: the pass
+counts tell the two apart.
+
+Each run's fastest latency per request is also read from that file and
+summed per request kind.  The kind and window of every request come from building
 ``Setup(seed).requests`` once per side and workload, in a subprocess in
 that side's tree.  Each side's median sum per kind and the pairs the change
 won are printed and written to ``--out`` under ``by_kind``: where a
@@ -116,11 +122,17 @@ def request_kinds(tree: Path, workload: str, seed: int) -> dict | None:
         return None
 
 
-def kind_sums(tree: Path, workload: str, seed: int, kinds: dict) -> dict[str, float] | None:
-    """Fastest latency summed per request kind, from the details file of the run just made, or None."""
+def read_details(tree: Path, workload: str, seed: int) -> dict | None:
+    """The details file of the untraced run just made in ``tree``, or None."""
     try:
-        details = json.loads((tree / OUT_DIR / f"{workload}-seed{seed}-trace0.json").read_text())
+        return json.loads((tree / OUT_DIR / f"{workload}-seed{seed}-trace0.json").read_text())
     except (OSError, json.JSONDecodeError):
+        return None
+
+
+def kind_sums(details: dict | None, kinds: dict) -> dict[str, float] | None:
+    """Fastest latency summed per request kind, from a run's details, or None."""
+    if details is None:
         return None
     latencies = details.get("request_best_s") or []
     if details.get("request_list_sha256") != kinds["digest"] or len(latencies) != len(kinds["requests"]):
@@ -234,6 +246,7 @@ def main(argv=None) -> int:
             if kinds is None or kinds != request_kinds(trees["change"], workload, args.seed):
                 kinds = None
             sums = {"parent": [], "change": []}
+            passes = {"parent": [], "change": []}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
@@ -244,12 +257,27 @@ def main(argv=None) -> int:
                               f"correct {result['correct']}", file=sys.stderr)
                         print(result.get("stderr_tail", ""), file=sys.stderr)
                     runs[side].append(result)
-                    if kinds is not None and result["returncode"] == 0:
-                        sums[side].append(kind_sums(trees[side], workload, args.seed, kinds))
+                    details = None
+                    if result["returncode"] == 0:
+                        details = read_details(trees[side], workload, args.seed)
+                        if kinds is not None:
+                            sums[side].append(kind_sums(details, kinds))
+                    passes[side].append(details.get("passes") if details else None)
             summary = {
                 "correct": all(r["correct"] for side in runs.values() for r in side),
                 "failed": sum(r.get("failed") or 0 for side in runs.values() for r in side),
+                "passes": {},
             }
+            for side, counts in passes.items():
+                read = [c for c in counts if c is not None]
+                summary["passes"][f"{side}_median"] = statistics.median(read) if read else None
+                summary["passes"][f"{side}_runs"] = counts
+            medians = summary["passes"]
+            print(
+                f"{workload:16s} {'passes':16s} parent {medians['parent_median']}  "
+                f"change {medians['change_median']}",
+                flush=True,
+            )
             for metric in metrics:
                 name = metric["name"]
                 values = {
