@@ -61,31 +61,22 @@ DRAW_LIMIT = 1 << 24
 PEAK_PER_DRAWN = 4
 PEAK_PER_ROW = 32
 # What a ``check`` holds at its peak, in complex values (16 bytes) per label
-# pair.  Measured under tracemalloc on SU(2) windows of 200 and 300 labels over
-# every field spec and the three kinds: 90 bytes a pair for white noise and MA,
-# 107 for Kolmogorov heat (196 normalized, where it fails), and at most 2160
-# (135 values) when nearly every pair fails and becomes a printed witness
-# (complex AR(1), atoms under the normalized kind).  Re-measured on 0..299
-# with witnesses ordered on their first read, the same bytes as with the
-# eager order: ar1:0.99,0.1 2129-2137 bytes a pair over the three kinds,
-# atoms under the normalized kind 2071, ar1:0.5,0.6 1342-1347.  Since one
-# label plan serves both sides of a check, on 0..299: 57 bytes a pair for
-# white noise, 65 for MA and for passing Kolmogorov checks (heat 315 and
-# atoms 2070 normalized), the AR(1) figures unchanged.
+# pair.  Measured under tracemalloc on the SU(2) window 0..299 over every
+# field spec and the three kinds: 57 bytes a pair for white noise, 65 for MA
+# and for passing Kolmogorov checks (heat 315 and atoms 2070 normalized, where
+# they fail), and at most 2137 (134 values) when nearly every pair fails and
+# becomes a printed witness (ar1:0.99,0.1; ar1:0.5,0.6 reads 1342-1347).
 PEAK_PER_PAIR = 160
 # What a check on SU(2) holds per irreducible its pairs cover (0 .. 2 * the
 # largest label), in complex values, counted apart from the pairs.  Measured
 # under tracemalloc on windows of 4 labels from 10^3 to 2 * 10^5 over every
-# field spec and the three kinds: at most 135 bytes for white noise, 153 for
-# MA, 193 for AR(1) and 263 for a Kolmogorov field on two atoms.  With one
-# label plan per check, which holds its take index while the oracle fills the
-# C(k) column: 106 for white noise, 129 for MA, 193 for AR(1), 206 for heat
-# and SU(2) Haar and 255 on two atoms (126, 126, 185, 198 and 247 before it,
-# remeasured alike); white noise on 524284..524287 normalized, 83.  The Fourier
+# field spec and the three kinds: at most 109 bytes for white noise, 113 for
+# MA, 177 for AR(1), 190 for heat and SU(2) Haar and 239 for a Kolmogorov
+# field on two atoms; white noise on 524284..524287 normalized, 83.  The Fourier
 # transform of an SU(2) measure of atoms or a given density also keeps the
 # characters at its atoms and quadrature nodes, up to 25 bytes a point, counted
 # as PEAK_PER_POINT.  A character-series measure (heat, SU(2) Haar) answers from
-# its coefficients and keeps none: at most 198 bytes an irreducible in all, so
+# its coefficients and keeps none: at most 190 bytes an irreducible in all, so
 # its checks reach label 524287, as white noise does.
 PEAK_PER_IRREDUCIBLE = 16
 PEAK_PER_POINT = 2

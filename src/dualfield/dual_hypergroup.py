@@ -826,18 +826,14 @@ class _BandPlan(_PairPlan):
 
     Irreducibles are held as offsets from the smallest first one, ``lo``;
     ``offsets`` are those some pair covers.  Pairs that start at the same
-    offset share one column of running sums.  When the starts are dense
-    (their range is below the number of rows and columns, as on a
-    contiguous window) every offset up to the last start has a column, so
-    a pair's column is its start offset; otherwise the distinct starts are
-    marked in a boolean array, with no sort.  A range below the number of
-    pairs would be too loose: on the window 0 .. 38 and 1598 it gives 1599
-    columns where 79 start, and a sum ten times slower.  A table of at
-    most ``_BAND_BLOCK`` entries is summed with one precomputed take index
-    and read with one gather; a larger one in blocks of rows.
+    offset share one column of running sums; the distinct starts are found
+    by marking them in a boolean array, with no sort.  A table of at most
+    ``_BAND_BLOCK`` entries is summed with one take index, which the first
+    values pass builds after its ``values_at`` call, and read with one
+    gather; a larger one in blocks of rows.
     """
 
-    __slots__ = ("lo", "size", "offsets", "index", "gather", "blocks")
+    __slots__ = ("lo", "size", "offsets", "columns", "gather", "blocks", "index")
 
     def __init__(self, dual, x, y, first, span, step):
         super().__init__(dual, x, y)
@@ -851,30 +847,23 @@ class _BandPlan(_PairPlan):
         # cumulative count per class marks the irreducibles some pair covers.
         cover = np.bincount(at, minlength=size) - np.bincount(last + step, minlength=size)
         self.offsets = np.flatnonzero(cover.reshape(-1, step).cumsum(axis=0).ravel())
-        del cover  # a count per slot, freed before the take index is built
-        reach = int(at.max())
-        if reach < len(x) + len(y):
-            starts = np.arange(reach + 1)
-            row = at
-        else:
-            mark = np.zeros(reach + 1, dtype=bool)
-            mark[at] = True
-            starts = np.flatnonzero(mark)
-            row = (np.cumsum(mark) - 1)[at]
-        # Columns no pair starts at keep top -1 and read only the 0j slot.
-        top = np.full(len(starts), -1)
+        mark = np.zeros(int(at.max()) + 1, dtype=bool)
+        mark[at] = True
+        starts = np.flatnonzero(mark)
+        row = (np.cumsum(mark) - 1)[at]
+        top = np.zeros(len(starts), dtype=int)
         np.maximum.at(top, row, span)
         end = int(top.max()) + 1
         width = min(end, max(1, _BAND_BLOCK // len(starts)))
+        self.columns = (starts, top, step, end)
         if width == end:
-            t = np.arange(end)[:, None]
-            self.index = np.where(t <= top, starts + step * t, size - 1)
             # Flat positions of row span + 1 in the (end + 1) x columns table.
             self.gather = (span + 1) * len(starts) + row
             self.blocks = None
         else:
-            self.index = self.gather = None
-            self.blocks = (starts, top, span, row, step, width, end)
+            self.gather = None
+            self.blocks = (span, row, width)
+        self.index = None
 
     def ring(self, values_at, dims):
         ks = self.offsets + self.lo
@@ -885,19 +874,26 @@ class _BandPlan(_PairPlan):
         # Multiplicity 1 times value(k) by the per-pair complex multiply, which
         # fixes the bits of non-finite values; the other slots hold 1 * 0j = 0j.
         terms[self.offsets] = np.ones(len(values), dtype=int) * values
-        if self.index is not None:
-            # Row t + 1 holds, per column, the sum of its terms 0 .. t; row 0 is 0j.
-            running = np.empty((len(self.index) + 1, self.index.shape[1]), dtype=complex)
-            running[0] = 0
-            # Every index is in range; "clip" only spares take a buffered copy.
-            np.take(terms, self.index, out=running[1:], mode="clip")
-            np.add.accumulate(running, axis=0, out=running)
-            return running.ravel()[self.gather]
-        return self._blocked(terms)
+        if self.gather is None:
+            return self._blocked(terms)
+        if self.index is None:
+            # Built after values_at, so a check's C(k) column and this index
+            # are never held at once.
+            starts, top, step, end = self.columns
+            t = np.arange(end)[:, None]
+            self.index = np.where(t <= top, starts + step * t, self.size - 1)
+        # Row t + 1 holds, per column, the sum of its terms 0 .. t; row 0 is 0j.
+        running = np.empty((len(self.index) + 1, self.index.shape[1]), dtype=complex)
+        running[0] = 0
+        # Every index is in range; "clip" only spares take a buffered copy.
+        np.take(terms, self.index, out=running[1:], mode="clip")
+        np.add.accumulate(running, axis=0, out=running)
+        return running.ravel()[self.gather]
 
     def _blocked(self, terms):
         """:meth:`ring`'s sums over more than ``_BAND_BLOCK`` entries, by blocks of rows."""
-        starts, top, span, row, step, width, end = self.blocks
+        starts, top, step, end = self.columns
+        span, row, width = self.blocks
         # Row t + 1 - t0 of a block holds, per start, the sum of its terms 0 .. t.
         # Row 0 carries the last row of the previous block; the first starts at 0j.
         out = np.empty(len(span), dtype=complex)

@@ -729,9 +729,11 @@ BLOCKS = [(1, 2**7), (7, 2**9), (64, 2**11), (dual_hypergroup._BAND_BLOCK, 2**19
 
 @st.composite
 def pass_windows(draw, starts):
-    """(block, rows, columns) of an SU(2) window whose starts |a - b| are dense or marked.
+    """(block, rows, columns) of an SU(2) window whose starts |a - b| are dense or sparse.
 
-    Dense: the starts span less than the number of rows and columns.  Rows
+    Dense: the starts span less than the number of rows and columns, as on
+    a contiguous window; sparse: they span more, and most offsets up to the
+    last start start no pair.  Rows
     and columns are unsorted, may repeat, and columns differ from rows or
     are None.
     """
@@ -784,7 +786,7 @@ def assert_same_bits(got, want):
 
 
 class TestValuesPass:
-    @pytest.mark.parametrize("starts", ["dense", "marked"])
+    @pytest.mark.parametrize("starts", ["dense", "sparse"])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), kind=KIND)
     def test_windows_up_to_2_19(self, starts, data, kind):
@@ -803,7 +805,7 @@ class TestValuesPass:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 fresh = [pair_grid(SU2, rows, columns, cyclic_values_at(t), kind) for t in tables]
-            # One plan, two values passes: the plan is only read.
+            # One plan, two values passes: the bits of fresh pair_grid calls.
             plan = dual_hypergroup._pair_plan(SU2, rows, columns)
             with np.errstate(invalid="ignore", over="ignore"):
                 shared = [
