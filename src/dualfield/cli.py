@@ -62,22 +62,22 @@ PEAK_PER_DRAWN = 4
 PEAK_PER_ROW = 32
 # What a ``check`` holds at its peak, in complex values (16 bytes) per label
 # pair.  Measured under tracemalloc on the SU(2) window 0..299 over every
-# field spec and the three kinds: 57 bytes a pair for white noise, 65 for MA
-# and for passing Kolmogorov checks (heat 315 and atoms 2070 normalized, where
-# they fail), and at most 2137 (134 values) when nearly every pair fails and
+# field spec and the three kinds: 65 bytes a pair for white noise, MA and
+# passing Kolmogorov checks (heat 315 and atoms 2070 normalized, where they
+# fail), and at most 2137 (134 values) when nearly every pair fails and
 # becomes a printed witness (ar1:0.99,0.1; ar1:0.5,0.6 reads 1342-1347).
 PEAK_PER_PAIR = 160
 # What a check on SU(2) holds per irreducible its pairs cover (0 .. 2 * the
 # largest label), in complex values, counted apart from the pairs.  Measured
 # under tracemalloc on windows of 4 labels from 10^3 to 2 * 10^5 over every
-# field spec and the three kinds: at most 109 bytes for white noise, 113 for
-# MA, 177 for AR(1), 190 for heat and SU(2) Haar and 239 for a Kolmogorov
-# field on two atoms; white noise on 524284..524287 normalized, 83.  The Fourier
+# field spec and the three kinds: at most 117 bytes for white noise, MA, heat
+# and SU(2) Haar, 169 for AR(1) and 134 for a Kolmogorov field on two atoms;
+# white noise and heat on 524284..524287 normalized, 91.  The Fourier
 # transform of an SU(2) measure of atoms or a given density also keeps the
 # characters at its atoms and quadrature nodes, up to 25 bytes a point, counted
 # as PEAK_PER_POINT.  A character-series measure (heat, SU(2) Haar) answers from
-# its coefficients and keeps none: at most 190 bytes an irreducible in all, so
-# its checks reach label 524287, as white noise does.
+# its coefficients and keeps none, so its checks reach label 524287, as white
+# noise does.
 PEAK_PER_IRREDUCIBLE = 16
 PEAK_PER_POINT = 2
 # What ``tensor`` and ``convolve`` hold per SU(2) tensor component, in complex values:

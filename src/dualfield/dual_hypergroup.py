@@ -698,7 +698,8 @@ def pair_matrix(
     ``value`` is called once per irreducible that occurs, in ascending
     order.  A representation-ring entry has the bits of the per-pair sum
     of m_k value(k) from 0j in ascending k, as :func:`convolve` orders
-    them.  A normalized entry is the ring entry of k -> d_k value(k) with
+    them, but for the sign and payload of a nan (see :func:`pair_grid`).
+    A normalized entry is the ring entry of k -> d_k value(k) with
     its real and imaginary parts each multiplied by 1 / (d_a d_b); it may
     differ from :func:`convolve`'s per-term sum in the last bits.
     """
@@ -723,13 +724,16 @@ def pair_grid(
     irreducible that occurs, and returns their values as one complex
     array, which is only read; entry (i, j) is the :func:`pair_matrix`
     entry for a = rows[i], b = columns[j].  Each label is validated once.
-    Non-finite values give what the per-pair sums give, with no warning.
+    Non-finite values give what the per-pair sums give, with no warning,
+    but for the sign and payload of a nan: ``np.add.accumulate`` itself
+    gives nans of either sign for the same terms at different lengths.
 
     The work is split in two.  A plan (:func:`_pair_plan`) reads only the
     labels: it validates them and lays out which irreducibles each pair
-    sums.  A values pass (:func:`_pair_values`) calls ``values_at`` and
-    sums.  One plan serves any number of values passes, so a check plans
-    its window once for both of its sides.
+    sums, ``plan.ks``.  A values pass (:func:`_pair_values`) sums the
+    values at ``plan.ks``.  One plan serves any number of values passes,
+    so a check plans its window once and reads one array of values for
+    both of its sides.
 
     On duals with a :meth:`~DualStructure.band` (SU(2)) the terms of a
     pair are a progression, so pairs that start at the same irreducible
@@ -740,8 +744,9 @@ def pair_grid(
     """
     _check_kind(kind)
     plan = _pair_plan(dual, rows, columns)
+    values = values_at(plan.ks.tolist())
     with np.errstate(invalid="ignore", over="ignore"):
-        return _pair_values(plan, values_at, kind)
+        return _pair_values(plan, values, kind)
 
 
 def _check_kind(kind) -> None:
@@ -766,14 +771,14 @@ def _pair_plan(dual: DualStructure, rows, columns) -> "_PairPlan":
     return _BandPlan(dual, x, y, first.ravel(), span.ravel(), step)
 
 
-def _pair_values(plan: "_PairPlan", values_at, kind="representation_ring") -> np.ndarray:
-    """The :func:`pair_grid` entries of ``plan`` from one ``values_at`` call.
+def _pair_values(plan: "_PairPlan", values: np.ndarray, kind="representation_ring") -> np.ndarray:
+    """The :func:`pair_grid` entries of ``plan`` from ``values``, the array at ``plan.ks``.
 
-    Runs under the caller's ``np.errstate``: non-finite values may raise
-    numpy's invalid and overflow flags.
+    ``values`` is only read.  Runs under the caller's ``np.errstate``:
+    non-finite values may raise numpy's invalid and overflow flags.
     """
     dims = plan.dual.dims if kind == "normalized" else None
-    out = plan.ring(values_at, dims).reshape(len(plan.x), len(plan.y))
+    out = plan.ring(values, dims).reshape(len(plan.x), len(plan.y))
     if dims is not None:
         # Real and imaginary parts apart: a complex multiply may fuse its
         # products, which moves the sign of a part that underflows to 0.
@@ -786,8 +791,9 @@ def _pair_values(plan: "_PairPlan", values_at, kind="representation_ring") -> np
 class _PairPlan:
     """The validated rows ``x`` and columns ``y`` of a pair sum, and how its pairs sum.
 
-    :meth:`ring` returns the flat ring sums of value(k), or of dims(k)
-    value(k) when ``dims`` is given, from one ``values_at`` call.
+    ``ks`` are the irreducibles some pair covers, ascending.  :meth:`ring`
+    returns the flat ring sums of value(k), or of dims(k) value(k) when
+    ``dims`` is given, from the values at ``ks``.
     """
 
     __slots__ = ("dual", "x", "y")
@@ -806,8 +812,8 @@ class _TermPlan(_PairPlan):
         self.pair, self.k, self.m = pair, k, m
         self.ks, self.at = np.unique(k, return_inverse=True)
 
-    def ring(self, values_at, dims):
-        values = values_at(self.ks.tolist())[self.at]
+    def ring(self, values, dims):
+        values = values[self.at]
         if dims is not None:
             values *= dims(self.k)
         # Terms listed by pair, then ascending k: the per-pair sum from 0j.
@@ -829,8 +835,8 @@ class _BandPlan(_PairPlan):
     offset share one column of running sums; the distinct starts are found
     by marking them in a boolean array, with no sort.  A table of at most
     ``_BAND_BLOCK`` entries is summed with one take index, which the first
-    values pass builds after its ``values_at`` call, and read with one
-    gather; a larger one in blocks of rows.
+    values pass builds, after its values, and read with one gather; a
+    larger one in blocks of rows.
     """
 
     __slots__ = ("lo", "size", "offsets", "columns", "gather", "blocks", "index")
@@ -865,11 +871,14 @@ class _BandPlan(_PairPlan):
             self.blocks = (span, row, width)
         self.index = None
 
-    def ring(self, values_at, dims):
-        ks = self.offsets + self.lo
-        values = np.asarray(values_at(ks.tolist()), dtype=complex)
+    @property
+    def ks(self):
+        return self.offsets + self.lo
+
+    def ring(self, values, dims):
+        values = np.asarray(values, dtype=complex)
         if dims is not None:
-            values = values * dims(ks)
+            values = values * dims(self.ks)
         terms = np.zeros(self.size, dtype=complex)
         # Multiplicity 1 times value(k) by the per-pair complex multiply, which
         # fixes the bits of non-finite values; the other slots hold 1 * 0j = 0j.
@@ -877,8 +886,8 @@ class _BandPlan(_PairPlan):
         if self.gather is None:
             return self._blocked(terms)
         if self.index is None:
-            # Built after values_at, so a check's C(k) column and this index
-            # are never held at once.
+            # Built after the values, so the oracle that made them never runs
+            # beside this index.
             starts, top, step, end = self.columns
             t = np.arange(end)[:, None]
             self.index = np.where(t <= top, starts + step * t, self.size - 1)

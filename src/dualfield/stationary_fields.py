@@ -125,10 +125,14 @@ class FieldSampler:
 
     The generator ``np.random.default_rng(seed)`` is built the first time
     ``_rng`` is read, so fields used only for their moments never import
-    ``numpy.random``.  A subclass that overrides ``second_moment`` but not
-    ``second_moment_matrix`` gets the per-pair matrix, never the array form
-    of the class it extends; one that overrides either but not
-    ``_plan_matrix`` is asked for ``second_moment_matrix`` in a check.
+    ``numpy.random``.
+
+    A field whose moment is the ring pair sum of a per-label table C,
+    E(Y_a conj(Y_b)) = sum_k m_{a (x) conj(b)}(k) C(k), returns that table's
+    ``values_at`` from :meth:`_table`; its ``second_moment_matrix`` and a
+    check's left side are values passes of it.  A subclass that overrides
+    ``second_moment`` or ``second_moment_matrix`` but not ``_table`` has no
+    table, and the per-pair matrix unless it overrides the matrix too.
     """
 
     dual: DualStructure
@@ -145,11 +149,11 @@ class FieldSampler:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "second_moment" in cls.__dict__ and "second_moment_matrix" not in cls.__dict__:
-            cls.second_moment_matrix = FieldSampler.second_moment_matrix
-        moments = {"second_moment", "second_moment_matrix"} & cls.__dict__.keys()
-        if moments and "_plan_matrix" not in cls.__dict__:
-            cls._plan_matrix = FieldSampler._plan_matrix
+        own = cls.__dict__
+        if ("second_moment" in own or "second_moment_matrix" in own) and "_table" not in own:
+            cls._table = FieldSampler._table
+            if "second_moment_matrix" not in own:
+                cls.second_moment_matrix = FieldSampler.second_moment_matrix
 
     def sample_batch(self, labels: Iterable[Label], count: int) -> dict[Label, np.ndarray]:
         """Draw ``count`` independent joint samples at the given labels."""
@@ -168,16 +172,20 @@ class FieldSampler:
     ) -> np.ndarray:
         """Entry (i, j) is ``second_moment(labels[i], columns[j])``, bit for bit.
 
-        ``columns`` defaults to ``labels``.
+        ``columns`` defaults to ``labels``.  With a table, the ring
+        :func:`pair_grid` of it; the neutral column alone is the table
+        itself, since k (x) conj(neutral) is k once.
         """
-        return pairwise_matrix(self.second_moment, labels, columns)
+        table = self._table()
+        if table is None:
+            return pairwise_matrix(self.second_moment, labels, columns)
+        rows, cols = self._window(labels, columns)
+        if cols.tolist() == [self.dual.neutral]:
+            return (1 * table(rows.tolist()) + 0j)[:, None]
+        return pair_grid(self.dual, rows, None if columns is None else cols, table)
 
-    def _plan_matrix(self, plan) -> np.ndarray | None:
-        """``second_moment_matrix`` over a check's pair plan, from its validated labels.
-
-        None where the field has no such form; the check then asks
-        ``second_moment_matrix``.
-        """
+    def _table(self) -> Callable[[list[Label]], np.ndarray] | None:
+        """The ``values_at`` of k -> C(k) when the moment is its ring pair sum, else None."""
         return None
 
     def _window(self, labels, columns):
@@ -217,11 +225,9 @@ class WhiteNoiseField(FieldSampler):
         self.dual.validate_derived_label(b)
         return 1.0 + 0j if a == b else 0j
 
-    def second_moment_matrix(self, labels, columns=None):
-        return _equal(*self._window(labels, columns))
-
-    def _plan_matrix(self, plan):
-        return _equal(plan.x, plan.y)
+    def _table(self):
+        neutral = self.dual.neutral
+        return lambda ks: (np.asarray(ks) == neutral).astype(complex)
 
     def reseeded(self, seed):
         return WhiteNoiseField(self.dual, seed)
@@ -243,8 +249,6 @@ class KolmogorovField(FieldSampler):
             )
         self.measure = measure
         self.last_coordinates: np.ndarray | None = None
-        # A check asks for every transform twice, for C(k) and for its pairs' moments.
-        self._fourier = functools.cache(measure.fourier)
         super().__init__(measure.dual, seed, f"kolmogorov({measure.description}, seed={seed})")
 
     def sample_batch(self, labels, count):
@@ -255,13 +259,10 @@ class KolmogorovField(FieldSampler):
 
     def second_moment(self, a, b):
         terms = self.dual.tensor(a, self.dual.conjugate(b))
-        return complex(sum(c * complex(self._fourier(k)) for k, c in terms.items()))
+        return complex(sum(c * complex(self.measure.fourier(k)) for k, c in terms.items()))
 
-    def second_moment_matrix(self, labels, columns=None):
-        return _transform_matrix(self, labels, columns, per_label(self._fourier))
-
-    def _plan_matrix(self, plan):
-        return _pair_values(plan, per_label(self._fourier))
+    def _table(self):
+        return per_label(self.measure.fourier)
 
     def covariance(self, label: Label) -> complex:
         """C(label) = E(Y_label conj(Y_neutral)) = transform of the measure."""
@@ -278,8 +279,9 @@ class TranslatedField(FieldSampler):
     at the tensor product with the translating label, from one joint draw
     of the base field.  Over white noise, character orthogonality makes
     E(Y_a conj(Y_b)) the sum of m_{a (x) conj(b)}(k) m_{s (x) conj(s)}(k) for
-    the shift s: the moment matrix is the ring :func:`pair_grid` of the one
-    table k -> m_{s (x) conj(s)}(k), in integers with the bits of ``second_moment``.
+    the shift s: the field's table is k -> m_{s (x) conj(s)}(k), from one
+    ``tensor`` call, in integers with the bits of ``second_moment``.  Over
+    any other base it has no table.
     """
 
     def __init__(self, base: FieldSampler, shift: Label):
@@ -315,7 +317,7 @@ class TranslatedField(FieldSampler):
         return values
 
     def _over_white_noise(self) -> bool:
-        return type(self.base).second_moment_matrix is WhiteNoiseField.second_moment_matrix
+        return type(self.base)._table is WhiteNoiseField._table
 
     def _square(self) -> DualVector:
         """The multiplicities k -> m_{s (x) conj(s)}(k) of the shift s."""
@@ -323,7 +325,7 @@ class TranslatedField(FieldSampler):
 
     def second_moment(self, a, b):
         if self._over_white_noise():
-            # The orthogonality sum of second_moment_matrix, which needs no
+            # The orthogonality sum of the table, which needs no
             # shifted label: small integers, so the bits of the loop below.
             square = self._square()
             terms = self.dual.tensor(a, self.dual.conjugate(b))
@@ -336,11 +338,10 @@ class TranslatedField(FieldSampler):
                 total += m1 * np.conj(m2) * self.base.second_moment(k1, k2)
         return complex(total)
 
-    def _square_values(self):
-        """The ``values_at`` of k -> m_{s (x) conj(s)}(k), from one ``tensor`` call.
-
-        Irreducibles that do not occur in s (x) conj(s) get 0j.
-        """
+    def _table(self):
+        """k -> m_{s (x) conj(s)}(k) over white noise, 0j off its support; else None."""
+        if not self._over_white_noise():
+            return None
         support, mult = (np.array(x) for x in zip(*sorted(self._square().items())))
 
         def values_at(ks):
@@ -349,32 +350,8 @@ class TranslatedField(FieldSampler):
 
         return values_at
 
-    def second_moment_matrix(self, labels, columns=None):
-        if not self._over_white_noise():
-            return super().second_moment_matrix(labels, columns)
-        return _transform_matrix(self, labels, columns, self._square_values())
-
-    def _plan_matrix(self, plan):
-        return _pair_values(plan, self._square_values()) if self._over_white_noise() else None
-
     def reseeded(self, seed):
         return TranslatedField(self.base.reseeded(seed), self.shift)
-
-
-def _equal(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The white-noise moments of validated rows x columns: 1 where the labels are equal."""
-    return (rows[:, None] == cols[None, :]).astype(complex)
-
-
-def _transform_matrix(field: FieldSampler, labels, columns, transform) -> np.ndarray:
-    """Entry (a, b) is sum_k m_{a (x) conj(b)}(k) transform(k): the ring :func:`pair_grid`.
-
-    The neutral column alone is the transform: k (x) conj(neutral) is k once.
-    """
-    rows, cols = field._window(labels, columns)
-    if cols.tolist() == [field.dual.neutral]:
-        return (1 * transform(rows.tolist()) + 0j)[:, None]
-    return pair_grid(field.dual, rows, None if columns is None else cols, transform)
 
 
 def white_noise(dual: DualStructure, seed=0) -> WhiteNoiseField:
@@ -575,18 +552,21 @@ def _check_pairs(condition, dual, oracle, labels, kind, tol):
         """C(k) = E(Y_k conj(Y_neutral)) for every k that occurs, in one call."""
         return moment_matrix(oracle, ks, [dual.neutral]).ravel()
 
-    # One plan of the window serves the right side and, when the oracle is a
-    # field's over this dual or another of its type with no table, the left.
+    # One plan of the window serves the right side and, when the oracle is
+    # the bound moment of a field with a table over this dual or another of
+    # its type with no table, the left: one array of C(k) for both sides.
     plan = _pair_plan(dual, labels, None)
     field = _field_of(oracle)
     shared = field is not None and (
         field.dual is dual or (type(field.dual) is type(dual) and not dual.is_finite)
     )
+    table = field._table() if shared else None
     # Non-finite moments are refused below, so their arithmetic needs no warning.
     with np.errstate(invalid="ignore", over="ignore"):
-        rhs = _pair_values(plan, covariance, kind).ravel()
-        lhs = field._plan_matrix(plan) if shared else None
-        del plan  # freed before an oracle's own matrix is built
+        values = (covariance if table is None else table)(plan.ks.tolist())
+        rhs = _pair_values(plan, values, kind).ravel()
+        lhs = None if table is None else _pair_values(plan, values)
+        del plan, values  # freed before an oracle's own matrix is built
         if lhs is None:
             lhs = moment_matrix(oracle, labels)
         lhs = lhs.ravel()

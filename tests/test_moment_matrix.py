@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from dualfield import (
     FiniteClassMeasure,
     LabelDomainError,
+    SeriesSpec,
     StationarityReport,
     SU2AngleMeasure,
     TorusAngleMeasure,
@@ -43,6 +44,7 @@ from dualfield import (
     white_noise,
 )
 from dualfield import dual_hypergroup, stationary_fields
+from dualfield.central_measures import parse_measure_spec
 from dualfield.cli import main
 from dualfield.dual_hypergroup import FiniteGroupDual, SU2Dual, TorusDual, pair_matrix
 from dualfield.stationary_fields import (
@@ -235,14 +237,12 @@ class TestNonFiniteMoments:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_cli_check_exits_2(self, capsys, monkeypatch, value):
-        # A check asks white noise for both sides as arrays, so both forms are patched.
+        # A check reads white noise's table for both sides, so both forms are patched.
         monkeypatch.setattr(WhiteNoiseField, "second_moment", lambda self, a, b: value)
         monkeypatch.setattr(
             WhiteNoiseField,
-            "second_moment_matrix",
-            lambda self, labels, columns=None: np.full(
-                (len(labels), len(labels if columns is None else columns)), value, dtype=complex
-            ),
+            "_table",
+            lambda self: lambda ks: np.full(len(ks), value, dtype=complex),
         )
         code = main(["check", "--dual", "su2", "--labels", "0..2", "whitenoise"])
         captured = capsys.readouterr()
@@ -307,6 +307,73 @@ class TestScalarCallsPerCheck:
         assert len(calls) == (self.N + 1) ** 2 + 2 * self.N + 1
 
 
+def table_fields(dual):
+    """The fields whose moment is the ring pair sum of a table, as the dual has them."""
+    out = [("whitenoise", white_noise(dual)), ("translated 2", translate(white_noise(dual), 2))]
+    if isinstance(dual, SU2Dual):
+        out.append(("heat 0.1", kolmogorov_field(heat_kernel_measure(0.1))))
+    if dual.is_finite:
+        weights = np.linspace(1.0, 2.0, len(dual.labels()))
+        measure = FiniteClassMeasure(dual, weights / weights.sum())
+        out.append(("classes", kolmogorov_field(measure)))
+    else:
+        out.append(("atoms", kolmogorov_field(parse_measure_spec(dual, "atoms:0.5:0.5,2:0.5"))))
+    return out
+
+
+class TestTableFieldsPassExactly:
+    """A ring check of a table field sums one table twice, so its two sides are equal."""
+
+    @pytest.mark.parametrize(
+        "dual, window",
+        [
+            (SU2, range(9)),
+            (SU2, range(31)),
+            (SU2, range(49)),
+            (torus_dual(), range(-6, 7)),
+            (load_character_table("s3"), None),
+            (load_character_table("q8"), None),
+        ],
+        ids=["su2 0..8", "su2 0..30", "su2 0..48", "torus -6..6", "s3", "q8"],
+    )
+    def test_ring_checks_read_zero(self, dual, window):
+        labels = dual.labels() if window is None else list(window)
+        for name, field in table_fields(dual):
+            for check in ("statdef", "representation_ring"):
+                report = run_check(check, dual, field.second_moment, labels, 0.0)
+                assert report.passed and report.max_violation == 0.0, (name, check)
+            # The normalized kind is another condition: it holds on the torus only.
+            report = run_check("normalized", dual, field.second_moment, labels, 1e-12)
+            if isinstance(dual, TorusDual):
+                assert report.max_violation == 0.0, name
+            else:
+                assert 0.5 < report.max_violation <= 3.0, name
+
+
+class TestOneTablePerCheck:
+    @pytest.mark.parametrize("check", KINDS)
+    @pytest.mark.parametrize("n", [8, 30])
+    def test_kolmogorov_check_transforms_each_irreducible_once(self, monkeypatch, check, n):
+        measure = heat_kernel_measure(0.1)
+        calls = []
+        original = type(measure).fourier
+
+        def counted(self, k):
+            calls.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(type(measure), "fourier", counted)
+        field = kolmogorov_field(measure)
+        got = run_check(check, SU2, field.second_moment, range(n + 1), 1e-12)
+        assert calls == list(range(2 * n + 1))
+        # No cache outlives a check: the next one transforms again.
+        calls.clear()
+        run_check(check, SU2, field.second_moment, range(n + 1), 1e-12)
+        assert calls == list(range(2 * n + 1))
+        want = run_check(check, SU2, lambda a, b: field.second_moment(a, b), range(n + 1), 1e-12)
+        assert report_bits(got) == report_bits(want)
+
+
 # ---------------------------------------------------------------------------
 # Rows x columns: the right side's covariance column in one array call
 # ---------------------------------------------------------------------------
@@ -361,35 +428,55 @@ class TestRowsByColumns:
         assert calls == [(occurring(dual, labels), [dual.neutral]), (labels, None)]
 
 
-class TestSubclassOverridingOnlyTheScalar:
-    class Doubled(WhiteNoiseField):
+def doubled(parent):
+    """A subclass of ``parent`` that overrides only ``second_moment``, keeping its calls."""
+
+    class Doubled(parent):
         calls = []
 
         def second_moment(self, a, b):
             self.calls.append((a, b))
             return 2 * super().second_moment(a, b)
 
+    return Doubled
+
+
+class TestSubclassOverridingOnlyTheScalar:
+    Doubled = doubled(WhiteNoiseField)
+    # Each table field, and a series field, which has its own matrix but no table.
+    FIELDS = [
+        lambda: TestSubclassOverridingOnlyTheScalar.Doubled(SU2),
+        lambda: doubled(KolmogorovField)(heat_kernel_measure(0.1)),
+        lambda: doubled(TranslatedField)(white_noise(SU2), 2),
+        lambda: doubled(SeriesField)(SeriesSpec("ar1", (0.5 + 0.6j,))),
+    ]
+
     def test_does_not_inherit_the_array_form(self):
-        assert self.Doubled.second_moment_matrix is not WhiteNoiseField.second_moment_matrix
-        field = self.Doubled(SU2)
+        assert self.Doubled._table is not WhiteNoiseField._table
         labels = [3, 0, 2, 2]
-        want = pairwise_matrix(lambda a, b: field.second_moment(a, b), labels)
-        assert field.second_moment_matrix(labels).tobytes() == want.tobytes()
-        shifted = translate(field, 1)
-        want = pairwise_matrix(lambda a, b: shifted.second_moment(a, b), labels)
-        assert shifted.second_moment_matrix(labels).tobytes() == want.tobytes()
+        for make in self.FIELDS:
+            field = make()
+            assert field._table() is None
+            want = pairwise_matrix(lambda a, b: field.second_moment(a, b), labels)
+            assert field.second_moment_matrix(labels).tobytes() == want.tobytes()
+            shifted = translate(field, 1)
+            want = pairwise_matrix(lambda a, b: shifted.second_moment(a, b), labels)
+            assert shifted.second_moment_matrix(labels).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("check", KINDS)
     def test_check_asks_per_pair_and_per_k(self, check):
         n = 6
-        field = self.Doubled(SU2)
-        self.Doubled.calls.clear()
-        got = run_check(check, SU2, field.second_moment, range(n + 1), 1e-12)
-        assert len(self.Doubled.calls) == (n + 1) ** 2 + 2 * n + 1
-        right = [k for k, b in self.Doubled.calls[: 2 * n + 1]]
-        assert right == list(range(2 * n + 1))
-        want = run_check(check, SU2, lambda a, b: field.second_moment(a, b), range(n + 1), 1e-12)
-        assert report_bits(got) == report_bits(want)
+        for make in self.FIELDS:
+            field = make()
+            type(field).calls.clear()
+            got = run_check(check, SU2, field.second_moment, range(n + 1), 1e-12)
+            assert len(field.calls) == (n + 1) ** 2 + 2 * n + 1
+            right = [k for k, b in field.calls[: 2 * n + 1]]
+            assert right == list(range(2 * n + 1))
+            want = run_check(
+                check, SU2, lambda a, b: field.second_moment(a, b), range(n + 1), 1e-12
+            )
+            assert report_bits(got) == report_bits(want)
 
 
 class TestLabelsValidatedOnce:
@@ -409,7 +496,7 @@ class TestLabelsValidatedOnce:
         calls.clear()
         plan = dual_hypergroup._pair_plan(SU2, [3, 1, 2], None)
         assert calls == [[3, 1, 2]]
-        ones = lambda ks: np.ones(len(ks))  # noqa: E731
+        ones = np.ones(len(plan.ks))
         again = [dual_hypergroup._pair_values(plan, ones, kind) for _ in "ab"]
         assert calls == [[3, 1, 2]]
         assert got.tobytes() == again[0].tobytes() == again[1].tobytes()
@@ -586,7 +673,7 @@ class TestWindowKernels:
             assert calls == [(shift, dual.conjugate(shift))]
         calls.clear()
         check_stationarity(dual, field.second_moment, labels)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_translated_check_at_large_labels_stays_small(self):
         # The table of the shift, not of the irreducibles the window covers.

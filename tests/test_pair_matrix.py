@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualfield import (
@@ -717,6 +717,7 @@ class TestNormalizedKind:
 # ---------------------------------------------------------------------------
 
 INF, NAN = float("inf"), float("nan")
+NEG_ZERO = complex(-0.0, -0.0)
 PASS_VALUES = st.one_of(
     st.sampled_from(SIGNED_ZEROS),
     st.sampled_from([INF, -INF, NAN, complex(INF, -0.0), complex(-2.0, -INF), complex(0.5, NAN)]),
@@ -777,6 +778,16 @@ def band_sums(rows, columns, table, normalized):
     return np.array(ring), near
 
 
+class Drawn:
+    """Fixed draws by label in place of ``st.data()``, for an explicit example."""
+
+    def __init__(self, **draws):
+        self.draws = draws
+
+    def draw(self, strategy, label):
+        return self.draws[label]
+
+
 def assert_same_bits(got, want):
     """Every bit of each part, but the sign and payload of a nan."""
     for g, w in ((got.real, want.real), (got.imag, want.imag)):
@@ -789,6 +800,12 @@ class TestValuesPass:
     @pytest.mark.parametrize("starts", ["dense", "sparse"])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), kind=KIND)
+    # The blocked sums give +nan in the imaginary part where the sequential
+    # sum gives -nan: a nan's sign is not part of the contract.
+    @example(
+        data=Drawn(window=(1, [6], None), seed=0, table=[NEG_ZERO] * 10 + [INF, NEG_ZERO, NAN]),
+        kind="representation_ring",
+    )
     def test_windows_up_to_2_19(self, starts, data, kind):
         block, rows, columns = data.draw(pass_windows(starts), label="window")
         # A drawn table, with its non-finite values and signed zeros, and a
@@ -809,7 +826,8 @@ class TestValuesPass:
             plan = dual_hypergroup._pair_plan(SU2, rows, columns)
             with np.errstate(invalid="ignore", over="ignore"):
                 shared = [
-                    dual_hypergroup._pair_values(plan, cyclic_values_at(t), kind) for t in tables
+                    dual_hypergroup._pair_values(plan, cyclic_values_at(t)(plan.ks.tolist()), kind)
+                    for t in tables
                 ]
         for got, again, table in zip(fresh, shared, tables):
             assert got.shape == again.shape == (len(rows), len(cols))
@@ -822,7 +840,6 @@ class TestValuesPass:
                     ring.imag *= scale
             assert_same_bits(got.ravel(), ring)
             if not normalized:
-                assert got.tobytes() == ring.tobytes()
                 continue
             for entry, (want, size, n) in zip(got.ravel(), near):
                 if np.isfinite(entry) and np.isfinite(want) and np.isfinite(size):
