@@ -51,9 +51,8 @@ from .stationary_fields import (
 from .stationary_fields import estimate_covariance  # noqa: F401
 from .time_series import SeriesField, parse_series_spec
 
-# Most complex values' worth of memory one ``simulate`` or ``check`` call may
-# hold at once, and the most labels of a ``spectral`` window.  Larger requests
-# are refused before anything is allocated.
+# Most complex values' worth of memory one call may hold at once.  Larger
+# requests are refused before anything is allocated.
 DRAW_LIMIT = 1 << 24
 # What a ``simulate`` call holds at its peak, in complex values: per drawn
 # value the draw, a row of products or the paths, and their temporaries; per
@@ -83,9 +82,19 @@ PEAK_PER_POINT = 2
 # What ``tensor`` and ``convolve`` hold per SU(2) tensor component, in complex values:
 # under tracemalloc at labels 4 * 10^5, about 250 bytes in CSV and at most 1150 in JSON.
 PEAK_PER_TERM = 80
+# What ``spectral`` holds per label of its window, in complex values, apart from
+# the characters an SU(2) angle measure keeps (PEAK_PER_POINT).  Set by JSON:
+# under tracemalloc at 10^5 labels, 1091 bytes for Haar and heat and 1175 for
+# two SU(2) atoms (1188 on the torus), against 189-333 in CSV.  The largest
+# windows, 0..209714 for Haar and heat and 0..190649 for two atoms, peak at
+# 0.85 of the limit in JSON and 0.15-0.21 in CSV.
+PEAK_PER_LABEL = 80
 
 
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
+    """A CSV cell: a float to 17 significant digits, refused if not finite, else ``str``."""
+    if not isinstance(x, float):
+        return str(x)
     if not math.isfinite(x):
         raise ValueError(f"result {x} is not finite: the input overflows double precision")
     return f"{x:.17g}"
@@ -93,6 +102,22 @@ def _fmt(x: float) -> str:
 
 # Non-finite floats raise ValueError here too, so no command prints inf or nan.
 _dumps = functools.partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _render(fmt: str, columns: str, rows, key: str = "", head=None, note: str = "") -> str:
+    """A table of ``rows`` of cells under the comma-separated ``columns``, as CSV or JSON text.
+
+    CSV is the header, one line a row of cells through :func:`_fmt`, and the
+    ``note`` line if any.  JSON is ``head`` with the rows as objects under
+    ``key``, through :func:`_dumps`.  ``rows`` is read once.
+    """
+    if fmt == "json":
+        names = columns.split(",")
+        return _dumps({**(head or {}), key: [dict(zip(names, row)) for row in rows]}) + "\n"
+    lines = [columns]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    lines += [note] if note else []
+    return "\n".join(lines) + "\n"
 
 
 def _finite_rows(dual: DualStructure, rows, what: str) -> None:
@@ -110,6 +135,15 @@ def _finite_rows(dual: DualStructure, rows, what: str) -> None:
                 )
 
 
+def _within_limit(size: int, request: str, advice: str) -> None:
+    """Refuse ``request`` if it would hold more than DRAW_LIMIT complex values' worth of memory."""
+    if size > DRAW_LIMIT:
+        raise ValueError(
+            f"{request} would hold {size} complex values' worth of memory, "
+            f"over the limit of {DRAW_LIMIT}; {advice}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Argument resolution
 # ---------------------------------------------------------------------------
@@ -125,32 +159,37 @@ def resolve_dual(text: str) -> DualStructure:
     raise ValueError(f"unknown dual {text!r}; use torus, su2 or finite:<name-or-path>")
 
 
-def _window_count(dual: DualStructure, text: str | None, bound: int | None) -> int:
-    """Labels in the window :func:`parse_labels` would build, counted without building it."""
+def _window(dual: DualStructure, text: str | None, bound: int | None):
+    """The labels of ``--labels text`` or ``--bound bound``, unvalidated.
+
+    ``a..b``, ``--bound`` and a finite dual's default give a ``range``,
+    which is never built; a comma list gives its parsed labels.
+    """
     if text and ".." in text:
         lo, hi = text.split("..", maxsplit=1)
-        return max(0, int(hi) - int(lo) + 1)
+        return range(int(lo), int(hi) + 1)
     if text:
-        return len(text.split(","))
+        return [dual.label_from_str(item) for item in text.split(",")]
     if isinstance(dual, FiniteGroupDual):
-        return dual.data.num_classes
+        return range(dual.data.num_classes)
     if bound is None:
-        return 0
-    return max(0, 2 * bound + 1 if isinstance(dual, TorusDual) else bound + 1)
+        raise ValueError("this dual needs --labels or --bound to fix a window")
+    return range(-bound, bound + 1) if isinstance(dual, TorusDual) else range(bound + 1)
+
+
+def _extent(window) -> tuple[int, int]:
+    """The label count and the largest label of a :func:`_window`, read off a range's ends.
+
+    A range is not measured with ``len``, which overflows past 2^63 labels.
+    """
+    if isinstance(window, range):
+        return max(0, window.stop - window.start), window.stop - 1
+    return len(window), max(window, default=0)
 
 
 def parse_labels(dual: DualStructure, text: str | None, bound: int | None):
-    if text and ".." in text:
-        lo, hi = text.split("..", maxsplit=1)
-        labels = [dual.validate_label(n) for n in range(int(lo), int(hi) + 1)]
-    elif text:
-        labels = [dual.label_from_str(item) for item in text.split(",")]
-    elif isinstance(dual, FiniteGroupDual):
-        labels = dual.labels()
-    elif bound is None:
-        raise ValueError("this dual needs --labels or --bound to fix a window")
-    else:
-        labels = dual.labels(bound)
+    window = _window(dual, text, bound)
+    labels = list(map(dual.validate_label, window)) if isinstance(window, range) else window
     if not labels:
         raise ValueError("empty label window")
     return labels
@@ -202,102 +241,59 @@ def _ensure_seed(args) -> tuple[int, bool]:
 def _refuse_many_terms(dual: DualStructure, pairs, command: str) -> None:
     """Refuse SU(2) products a (x) b, of min(a, b) + 1 components each, past DRAW_LIMIT."""
     terms = sum(min(a, b) + 1 for a, b in pairs) if isinstance(dual, SU2Dual) else 0
-    if PEAK_PER_TERM * terms > DRAW_LIMIT:
-        raise ValueError(
-            f"{command} would hold {PEAK_PER_TERM * terms} complex values' worth of {terms} "
-            f"tensor components, over the limit of {DRAW_LIMIT}; use smaller labels"
-        )
+    _within_limit(
+        PEAK_PER_TERM * terms, f"{command} listing {terms} components", "use smaller labels"
+    )
 
 
-def cmd_tensor(args):
-    dual = resolve_dual(args.dual)
+def cmd_tensor(args, dual):
     a = dual.label_from_str(args.a)
     b = dual.label_from_str(args.b)
     _refuse_many_terms(dual, [(a, b)], "tensor")
     vec = tensor_decompose(dual, a, b)
+    rows = [(dual.label_to_str(k), int(m.real), dual.dim(k)) for k, m in sorted(vec.items())]
     product = dual.dim(a) * dual.dim(b)
-    total = sum(int(m.real) * dual.dim(k) for k, m in vec.items())
-    if args.format == "json":
-        payload = {
-            "dual": dual.name,
-            "a": dual.label_to_str(a),
-            "b": dual.label_to_str(b),
-            "decomposition": [
-                {"label": dual.label_to_str(k), "multiplicity": int(m.real), "dim": dual.dim(k)}
-                for k, m in sorted(vec.items())
-            ],
-            "dimcheck": {"product": product, "sum": total, "ok": product == total},
-        }
-        return 0, _dumps(payload) + "\n"
-    lines = ["label,multiplicity,dim"]
-    lines += [
-        f"{dual.label_to_str(k)},{int(m.real)},{dual.dim(k)}" for k, m in sorted(vec.items())
-    ]
-    lines.append(f"# dimcheck {product}={total}")
-    return 0, "\n".join(lines) + "\n"
+    total = sum(m * d for _, m, d in rows)
+    head = {
+        "dual": dual.name,
+        "a": dual.label_to_str(a),
+        "b": dual.label_to_str(b),
+        "dimcheck": {"product": product, "sum": total, "ok": product == total},
+    }
+    note = f"# dimcheck {product}={total}"
+    return 0, _render(args.format, "label,multiplicity,dim", rows, "decomposition", head, note)
 
 
-def cmd_convolve(args):
-    dual = resolve_dual(args.dual)
+def cmd_convolve(args, dual):
     m1 = parse_vector_spec(dual, args.m1)
     m2 = parse_vector_spec(dual, args.m2)
     _refuse_many_terms(dual, [(a, b) for a in m1.support for b in m2.support], "convolve")
     out = convolve(dual, m1, m2, args.kind)
     _finite_rows(dual, out.items(), "convolution")
-    if args.format == "json":
-        payload = {
-            "dual": dual.name,
-            "kind": args.kind,
-            "result": [
-                {"label": dual.label_to_str(k), "re": v.real, "im": v.imag}
-                for k, v in sorted(out.items())
-            ],
-        }
-        return 0, _dumps(payload) + "\n"
-    lines = ["label,re,im"]
-    lines += [
-        f"{dual.label_to_str(k)},{_fmt(v.real)},{_fmt(v.imag)}" for k, v in sorted(out.items())
-    ]
-    return 0, "\n".join(lines) + "\n"
+    rows = ((dual.label_to_str(k), v.real, v.imag) for k, v in sorted(out.items()))
+    head = {"dual": dual.name, "kind": args.kind}
+    return 0, _render(args.format, "label,re,im", rows, "result", head)
 
 
-def cmd_spectral(args):
-    dual = resolve_dual(args.dual)
+def cmd_spectral(args, dual):
     measure = parse_measure_spec(dual, args.measure)
-    count = _window_count(dual, args.labels, args.bound)
-    if count > DRAW_LIMIT:
-        raise ValueError(
-            f"spectral window of {count} labels is over the limit of {DRAW_LIMIT}; "
-            "narrow --labels or --bound"
-        )
-    top = _top_label(dual, args.labels, args.bound)
-    kept = _point_size(measure, top)
-    if kept > DRAW_LIMIT:
-        raise ValueError(
-            f"spectral transforms up to label {top} would hold {kept} complex values' worth "
-            f"of characters, over the limit of {DRAW_LIMIT}; lower --labels or --bound"
-        )
+    count, top = _extent(_window(dual, args.labels, args.bound))
+    _within_limit(
+        PEAK_PER_LABEL * count + _point_size(measure, top),
+        f"spectral window of {count} labels up to label {top}",
+        "narrow or lower --labels or --bound",
+    )
     labels = parse_labels(dual, args.labels, args.bound)
     # An overflowing transform is refused below, naming its label, so it needs no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = [(label, measure.fourier(label)) for label in labels]
-    _finite_rows(dual, rows, "transform")
-    if args.format == "json":
-        payload = {
-            "dual": dual.name,
-            "measure": args.measure,
-            "values": [
-                {"label": dual.label_to_str(k), "re": v.real, "im": v.imag} for k, v in rows
-            ],
-        }
-        return 0, _dumps(payload) + "\n"
-    lines = ["label,re,im"]
-    lines += [f"{dual.label_to_str(k)},{_fmt(v.real)},{_fmt(v.imag)}" for k, v in rows]
-    return 0, "\n".join(lines) + "\n"
+        out = [(label, measure.fourier(label)) for label in labels]
+    _finite_rows(dual, out, "transform")
+    rows = ((dual.label_to_str(k), v.real, v.imag) for k, v in out)
+    head = {"dual": dual.name, "measure": args.measure}
+    return 0, _render(args.format, "label,re,im", rows, "values", head)
 
 
-def cmd_invert(args):
-    dual = resolve_dual(args.dual)
+def cmd_invert(args, dual):
     if not isinstance(dual, FiniteGroupDual):
         raise CapabilityError("exact inversion requires a finite-group dual")
     values = [complex(item) for item in args.values.split(",")]
@@ -308,26 +304,8 @@ def cmd_invert(args):
         )
     phi = CovarianceOnDual(dual, dict(zip(labels, values)))
     measure = bochner_invert_finite(phi)
-    if args.format == "json":
-        payload = {
-            "dual": dual.name,
-            "weights": [
-                {"class": c, "weight": float(w)} for c, w in enumerate(measure.class_weights)
-            ],
-        }
-        return 0, _dumps(payload) + "\n"
-    lines = ["class,weight"]
-    lines += [f"{c},{_fmt(w)}" for c, w in enumerate(measure.class_weights)]
-    return 0, "\n".join(lines) + "\n"
-
-
-def _top_label(dual: DualStructure, text: str | None, bound: int | None) -> int:
-    """Largest label of the window :func:`parse_labels` would build, found without building it."""
-    if text and ".." in text:
-        return int(text.split("..", maxsplit=1)[1])
-    if text:
-        return max(dual.label_from_str(item) for item in text.split(","))
-    return bound or 0
+    rows = ((c, float(w)) for c, w in enumerate(measure.class_weights))
+    return 0, _render(args.format, "class,weight", rows, "weights", {"dual": dual.name})
 
 
 def _point_size(measure, top: int) -> int:
@@ -347,7 +325,7 @@ def _draw_size(
     dual: DualStructure, field: FieldSampler, bound: int | None, samples: int | None
 ) -> int:
     """Complex values a ``simulate`` call draws, counted without building its window."""
-    columns = _window_count(dual, None, bound)
+    columns = _extent(_window(dual, None, bound))[0]
     if isinstance(field, SeriesField) and field.spec.kind == "ma":
         columns += len(field.spec.coefficients) - 1  # the q noises before the first label
     return columns * (samples or 1)
@@ -357,7 +335,7 @@ def _peak_size(
     dual: DualStructure, field: FieldSampler, bound: int | None, samples: int | None
 ) -> int:
     """Complex values' worth of memory a ``simulate`` call holds at its peak, counted ahead."""
-    labels = _window_count(dual, None, bound)
+    labels = _extent(_window(dual, None, bound))[0]
     if samples is None:
         rows = labels
     else:
@@ -365,8 +343,7 @@ def _peak_size(
     return PEAK_PER_DRAWN * _draw_size(dual, field, bound, samples) + PEAK_PER_ROW * rows
 
 
-def cmd_simulate(args):
-    dual = resolve_dual(args.dual)
+def cmd_simulate(args, dual):
     if args.samples is not None and args.samples < 2:
         raise ValueError(
             f"need at least two samples for a standard error, got --samples {args.samples}"
@@ -376,12 +353,11 @@ def cmd_simulate(args):
     series = isinstance(field, SeriesField)
     if args.bound is None and (series or not isinstance(dual, FiniteGroupDual)):
         raise ValueError("simulate needs --bound for the label window")
-    peak = _peak_size(dual, field, args.bound, args.samples)
-    if peak > DRAW_LIMIT:
-        raise ValueError(
-            f"simulate would hold {peak} complex values' worth of draws, products and output, "
-            f"over the limit of {DRAW_LIMIT}; lower --bound or --samples"
-        )
+    _within_limit(
+        _peak_size(dual, field, args.bound, args.samples),
+        "simulate's draws, products and output",
+        "lower --bound or --samples",
+    )
     labels = parse_labels(dual, None, args.bound)
     header = f"# seed={seed}\n" if generated else ""
 
@@ -391,56 +367,41 @@ def cmd_simulate(args):
         rows = list(range(n, 2 * n + 1))
         exact = field.second_moment_matrix(rows, [n])[:, 0]
         est = estimate_covariance_matrix(field, rows, args.samples, seed, columns=[n])
-        lines = ["n,h,re_closed,im_closed,re_mc,im_mc,stderr"]
-        lines += [
-            f"{n},{h},{_fmt(exact[h].real)},{_fmt(exact[h].imag)},"
-            f"{_fmt(est.mean[h, 0].real)},{_fmt(est.mean[h, 0].imag)},{_fmt(est.stderr[h, 0])}"
-            for h in range(n + 1)
-        ]
-        return 0, header + "\n".join(lines) + "\n"
+        columns = zip(exact.tolist(), est.mean[:, 0].tolist(), est.stderr[:, 0].tolist())
+        table = ((n, h, e.real, e.imag, m.real, m.imag, s) for h, (e, m, s) in enumerate(columns))
+        return 0, header + _render("csv", "n,h,re_closed,im_closed,re_mc,im_mc,stderr", table)
 
     if args.samples is not None:
         exact = field.second_moment_matrix(labels)
         est = estimate_covariance_matrix(field, labels, args.samples, seed)
         names = [dual.label_to_str(x) for x in labels]
-        lines = ["pi1,pi2,re_exact,im_exact,re_mc,im_mc,stderr"]
-        for i, a in enumerate(names):
-            for j, b in enumerate(names):
-                lines.append(
-                    f"{a},{b},{_fmt(exact[i, j].real)},{_fmt(exact[i, j].imag)},"
-                    f"{_fmt(est.mean[i, j].real)},{_fmt(est.mean[i, j].imag)},"
-                    f"{_fmt(est.stderr[i, j])}"
-                )
-        return 0, header + "\n".join(lines) + "\n"
+        table = (
+            (a, b, e.real, e.imag, m.real, m.imag, s)
+            for a, *row in zip(names, exact, est.mean, est.stderr)
+            for b, e, m, s in zip(names, *(x.tolist() for x in row))
+        )
+        return 0, header + _render("csv", "pi1,pi2,re_exact,im_exact,re_mc,im_mc,stderr", table)
 
     sample = field.sample(labels)
-    lines = ["n,re,im"]
-    lines += [
-        f"{dual.label_to_str(k)},{_fmt(sample[k].real)},{_fmt(sample[k].imag)}" for k in labels
-    ]
-    return 0, header + "\n".join(lines) + "\n"
+    table = ((dual.label_to_str(k), sample[k].real, sample[k].imag) for k in labels)
+    return 0, header + _render("csv", "n,re,im", table)
 
 
-def cmd_check(args):
-    dual = resolve_dual(args.dual)
+def cmd_check(args, dual):
     seed = args.seed if args.seed is not None else 0
     field = parse_field_spec(dual, args.spec, seed)
-    count = _window_count(dual, args.labels, args.bound)
-    peak = PEAK_PER_PAIR * count * count
-    if peak > DRAW_LIMIT:
-        raise ValueError(
-            f"check window of {count} labels would hold {peak} complex values' worth of "
-            f"pairs and witnesses, over the limit of {DRAW_LIMIT}; narrow --labels or --bound"
-        )
+    count, top = _extent(_window(dual, args.labels, args.bound))
+    _within_limit(
+        PEAK_PER_PAIR * count * count,
+        f"check pairs and witnesses of {count} labels",
+        "narrow --labels or --bound",
+    )
     if isinstance(dual, SU2Dual):
-        top = _top_label(dual, args.labels, args.bound)
-        covered = _covered_size(field, top)
-        if covered > DRAW_LIMIT:
-            raise ValueError(
-                f"check pairs up to label {top} cover {2 * top + 1} irreducibles, which would "
-                f"hold {covered} complex values' worth of moments, over the limit of "
-                f"{DRAW_LIMIT}; lower --labels or --bound"
-            )
+        _within_limit(
+            _covered_size(field, top),
+            f"check pairs up to label {top}, covering {2 * top + 1} irreducibles,",
+            "lower --labels or --bound",
+        )
     labels = parse_labels(dual, args.labels, args.bound)
     if args.kind == "statdef":
         report = check_stationarity(dual, field.second_moment, labels, tol=args.tol)
@@ -448,14 +409,11 @@ def cmd_check(args):
         report = check_hypergroup_stationarity(
             dual, field.second_moment, labels, kind=args.kind, tol=args.tol
         )
-    payload = report.to_json_dict(label_to_str=dual.label_to_str)
-    payload["dual"] = dual.name
-    payload["spec"] = args.spec
+    payload = {**report.to_json_dict(dual.label_to_str), "dual": dual.name, "spec": args.spec}
     return (0 if report.passed else 1), _dumps(payload) + "\n"
 
 
-def cmd_cramer(args):
-    dual = resolve_dual(args.dual)
+def cmd_cramer(args, dual):
     if not isinstance(dual, FiniteGroupDual):
         raise CapabilityError("the scattered decomposition runs on finite-group duals")
     measure = parse_measure_spec(dual, args.measure)
@@ -558,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, text = args.handler(args)
+        code, text = args.handler(args, resolve_dual(args.dual))
     except DataIntegrityError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

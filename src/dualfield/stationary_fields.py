@@ -330,13 +330,36 @@ class TranslatedField(FieldSampler):
             square = self._square()
             terms = self.dual.tensor(a, self.dual.conjugate(b))
             return complex(sum((m * square.coeff(k) for k, m in terms.items()), 0j))
-        va = self._shifted(a)
-        vb = self._shifted(b)
+        return self._double_sum(self._shifted(a), self._shifted(b), self.base.second_moment)
+
+    @staticmethod
+    def _double_sum(va: DualVector, vb: DualVector, moment) -> complex:
         total = 0j
         for k1, m1 in va.items():
             for k2, m2 in vb.items():
-                total += m1 * np.conj(m2) * self.base.second_moment(k1, k2)
+                total += m1 * np.conj(m2) * moment(k1, k2)
         return complex(total)
+
+    def second_moment_matrix(self, labels, columns=None):
+        """Over white noise, the table's pass; else one base matrix over the shifted labels.
+
+        Each entry is then :meth:`second_moment`'s double sum over that
+        matrix, so the base is read once per matrix, not once per term.
+        """
+        if self._over_white_noise():
+            return super().second_moment_matrix(labels, columns)
+        columns = labels if columns is None else columns
+        shifted = {label: self._shifted(label) for label in [*labels, *columns]}
+        rows, cols = (
+            {k: i for i, k in enumerate(sorted({k for x in side for k in shifted[x].support}))}
+            for side in (labels, columns)
+        )
+        base = self.base.second_moment_matrix(list(rows), list(cols))
+        moment = lambda k1, k2: base[rows[k1], cols[k2]]  # noqa: E731
+        return np.array(
+            [[self._double_sum(shifted[a], shifted[b], moment) for b in columns] for a in labels],
+            dtype=complex,
+        )
 
     def _table(self):
         """k -> m_{s (x) conj(s)}(k) over white noise, 0j off its support; else None."""
@@ -565,11 +588,12 @@ def _check_pairs(condition, dual, oracle, labels, kind, tol):
     with np.errstate(invalid="ignore", over="ignore"):
         values = (covariance if table is None else table)(plan.ks.tolist())
         rhs = _pair_values(plan, values, kind).ravel()
-        lhs = None if table is None else _pair_values(plan, values)
+        if table is not None:
+            # In the ring kind the left side is the same pass of the same table.
+            lhs = rhs if kind == "representation_ring" else _pair_values(plan, values).ravel()
         del plan, values  # freed before an oracle's own matrix is built
-        if lhs is None:
-            lhs = moment_matrix(oracle, labels)
-        lhs = lhs.ravel()
+        if table is None:
+            lhs = moment_matrix(oracle, labels).ravel()
         finite = np.isfinite(lhs) & np.isfinite(rhs)
         if not finite.all():
             p = int(np.argmin(finite))

@@ -689,7 +689,8 @@ class TestWindowLimits:
         assert run(capsys, "check", "--dual", "torus", "--labels=10000..10003", "whitenoise")[0] == 0
 
     def test_spectral_limit_counts_labels_inclusively(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "DRAW_LIMIT", 16)
+        # The limit counts a transform's memory: PEAK_PER_LABEL complex values a label.
+        monkeypatch.setattr(cli, "DRAW_LIMIT", 16 * cli.PEAK_PER_LABEL)
         assert run(capsys, "spectral", "--dual", "su2", "--bound", "15", "haar")[0] == 0
         assert run(capsys, "spectral", "--dual", "su2", "--bound", "16", "haar")[0] == 2
         assert run(capsys, "spectral", "--dual", "torus", "--labels=-7..8", "haar")[0] == 0
@@ -784,6 +785,30 @@ class TestPeakMemory:
         capsys.readouterr()
         assert code == 0
         assert peak <= 2 * 16 * drawn, peak / (16 * drawn)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("measure", ["haar", "heat:0.5", "atoms:0.5:0.5,2:0.5"])
+    def test_largest_spectral_window_peaks_within_the_limit(
+        self, capsys, monkeypatch, fmt, measure
+    ):
+        limit = 1 << 16
+        monkeypatch.setattr(cli, "DRAW_LIMIT", limit)
+        parsed = cli.parse_measure_spec(resolve_dual("su2"), measure)
+        count = limit // cli.PEAK_PER_LABEL
+        while cli.PEAK_PER_LABEL * count + cli._point_size(parsed, count - 1) > limit:
+            count -= 1
+        argv = ["spectral", "--dual", "su2", "--format", fmt]
+        # The refused window one label wider loads what the package loads lazily.
+        assert run(capsys, *argv, f"--labels=0..{count}", measure)[0] == 2
+        tracemalloc.start()
+        try:
+            code = main([*argv, f"--labels=0..{count - 1}", measure])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 16 * limit, peak / (16 * limit)
 
 
 class TestCheckPeakMemory:

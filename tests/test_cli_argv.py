@@ -124,14 +124,21 @@ class TestHugeSU2Labels:
         assert call(["convolve", "--dual", "finite:s3", "std:1,sgn:1", "std:1,sgn:1"])[0] == 0
 
     def test_spectral_limit_counts_point_rows_inclusively(self, monkeypatch):
-        # Two atoms, and rows 0 .. 2 * 4 of their characters.
-        monkeypatch.setattr(cli, "DRAW_LIMIT", cli.PEAK_PER_POINT * 2 * 9)
+        # Five labels, and two atoms' rows 0 .. 2 * 4 of their characters.
+        limit = cli.PEAK_PER_LABEL * 5 + cli.PEAK_PER_POINT * 2 * 9
+        monkeypatch.setattr(cli, "DRAW_LIMIT", limit)
         measure = "atoms:1:1,2:1"
         assert call(["spectral", "--dual", "su2", "--labels", "0..4", measure])[0] == 0
         assert call(["spectral", "--dual", "su2", "--labels", "3,4", measure])[0] == 0
-        assert call(["spectral", "--dual", "su2", "--labels", "5", measure])[0] == 2
+        assert call(["spectral", "--dual", "su2", "--labels", "0..5", measure])[0] == 2
         assert call(["spectral", "--dual", "su2", "--bound", "5", measure])[0] == 2
-        assert call(["spectral", "--dual", "su2", "--labels", "0..30", "heat:1"])[0] == 0
+        # One label: its rows 0 .. 2 * top fill what the other four labels left.
+        top = ((limit - cli.PEAK_PER_LABEL) // (2 * cli.PEAK_PER_POINT) - 1) // 2
+        assert call(["spectral", "--dual", "su2", "--labels", str(top), measure])[0] == 0
+        assert call(["spectral", "--dual", "su2", "--labels", str(top + 1), measure])[0] == 2
+        # A heat measure keeps no characters: only its labels count.
+        assert call(["spectral", "--dual", "su2", "--labels", "0..4", "heat:1"])[0] == 0
+        assert call(["spectral", "--dual", "su2", "--labels", "0..5", "heat:1"])[0] == 2
 
 
 # ---------------------------------------------------------------------------

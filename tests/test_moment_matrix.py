@@ -373,6 +373,52 @@ class TestOneTablePerCheck:
         want = run_check(check, SU2, lambda a, b: field.second_moment(a, b), range(n + 1), 1e-12)
         assert report_bits(got) == report_bits(want)
 
+    @pytest.mark.parametrize("check", KINDS)
+    def test_translated_kolmogorov_check_reads_the_base_once_per_side(self, monkeypatch, check):
+        # No table, so each side is one base matrix over the shifted labels 0..31.
+        n = 30
+        measure = parse_measure_spec(SU2, "atoms:0.5:0.5,2:0.5")
+        calls = []
+        original = type(measure).fourier
+
+        def counted(self, k):
+            calls.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(type(measure), "fourier", counted)
+        field = translate(kolmogorov_field(measure), 1)
+        field.second_moment_matrix(range(n + 1))
+        assert sorted(calls) == list(range(2 * n + 3))
+        calls.clear()
+        got = run_check(check, SU2, field.second_moment, range(n + 1), 1e-12)
+        # The right side's column and the left side: one transform of 0..62 each.
+        assert sorted(calls) == sorted(list(range(2 * n + 3)) * 2)
+        want = run_check(check, SU2, lambda a, b: field.second_moment(a, b), range(n + 1), 1e-12)
+        assert report_bits(got) == report_bits(want)
+
+    @pytest.mark.parametrize("check", KINDS)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: white_noise(SU2),
+            lambda: kolmogorov_field(heat_kernel_measure(0.1)),
+            lambda: translate(white_noise(SU2), 2),
+        ],
+        ids=["whitenoise", "heat 0.1", "translated 2"],
+    )
+    def test_ring_check_makes_one_values_pass(self, monkeypatch, check, make):
+        calls = []
+        original = stationary_fields._pair_values
+
+        def counted(*args):
+            calls.append(args[2:])
+            return original(*args)
+
+        monkeypatch.setattr(stationary_fields, "_pair_values", counted)
+        report = run_check(check, SU2, make().second_moment, range(13), 1e-12)
+        assert len(calls) == (2 if check == "normalized" else 1)
+        assert report.passed == (check != "normalized")
+
 
 # ---------------------------------------------------------------------------
 # Rows x columns: the right side's covariance column in one array call
