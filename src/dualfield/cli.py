@@ -69,9 +69,9 @@ PEAK_PER_PAIR = 160
 # What a check on SU(2) holds per irreducible its pairs cover (0 .. 2 * the
 # largest label), in complex values, counted apart from the pairs.  Measured
 # under tracemalloc on windows of 4 labels from 10^3 to 2 * 10^5 over every
-# field spec and the three kinds: at most 117 bytes for white noise, MA, heat
-# and SU(2) Haar, 169 for AR(1) and 134 for a Kolmogorov field on two atoms;
-# white noise and heat on 524284..524287 normalized, 91.  The Fourier
+# field spec and the three kinds: at most 117 bytes for white noise, heat and
+# SU(2) Haar, 121 for MA, 185 for AR(1) and 147 for a Kolmogorov field on two
+# atoms; white noise and heat on 524284..524287 normalized, 91.  The Fourier
 # transform of an SU(2) measure of atoms or a given density also keeps the
 # characters at its atoms and quadrature nodes, up to 25 bytes a point, counted
 # as PEAK_PER_POINT.  A character-series measure (heat, SU(2) Haar) answers from

@@ -834,12 +834,12 @@ class _BandPlan(_PairPlan):
     ``offsets`` are those some pair covers.  Pairs that start at the same
     offset share one column of running sums; the distinct starts are found
     by marking them in a boolean array, with no sort.  A table of at most
-    ``_BAND_BLOCK`` entries is summed with one take index, which the first
-    values pass builds, after its values, and read with one gather; a
-    larger one in blocks of rows.
+    ``_BAND_BLOCK`` entries is summed with one take ``index`` and read with
+    one ``gather``, both built here; a larger one in blocks of rows.  A
+    plan is only read, so values passes on it run in any order.
     """
 
-    __slots__ = ("lo", "size", "offsets", "columns", "gather", "blocks", "index")
+    __slots__ = ("lo", "size", "offsets", "index", "gather", "blocks")
 
     def __init__(self, dual, x, y, first, span, step):
         super().__init__(dual, x, y)
@@ -857,19 +857,20 @@ class _BandPlan(_PairPlan):
         mark[at] = True
         starts = np.flatnonzero(mark)
         row = (np.cumsum(mark) - 1)[at]
+        del at, last  # before the index's temporaries
         top = np.zeros(len(starts), dtype=int)
         np.maximum.at(top, row, span)
         end = int(top.max()) + 1
         width = min(end, max(1, _BAND_BLOCK // len(starts)))
-        self.columns = (starts, top, step, end)
         if width == end:
+            t = np.arange(end)[:, None]
+            self.index = np.where(t <= top, starts + step * t, size - 1)
             # Flat positions of row span + 1 in the (end + 1) x columns table.
             self.gather = (span + 1) * len(starts) + row
             self.blocks = None
         else:
-            self.gather = None
-            self.blocks = (span, row, width)
-        self.index = None
+            self.index = self.gather = None
+            self.blocks = (starts, top, step, end, span, row, width)
 
     @property
     def ks(self):
@@ -883,14 +884,8 @@ class _BandPlan(_PairPlan):
         # Multiplicity 1 times value(k) by the per-pair complex multiply, which
         # fixes the bits of non-finite values; the other slots hold 1 * 0j = 0j.
         terms[self.offsets] = np.ones(len(values), dtype=int) * values
-        if self.gather is None:
+        if self.blocks is not None:
             return self._blocked(terms)
-        if self.index is None:
-            # Built after the values, so the oracle that made them never runs
-            # beside this index.
-            starts, top, step, end = self.columns
-            t = np.arange(end)[:, None]
-            self.index = np.where(t <= top, starts + step * t, self.size - 1)
         # Row t + 1 holds, per column, the sum of its terms 0 .. t; row 0 is 0j.
         running = np.empty((len(self.index) + 1, self.index.shape[1]), dtype=complex)
         running[0] = 0
@@ -901,8 +896,7 @@ class _BandPlan(_PairPlan):
 
     def _blocked(self, terms):
         """:meth:`ring`'s sums over more than ``_BAND_BLOCK`` entries, by blocks of rows."""
-        starts, top, step, end = self.columns
-        span, row, width = self.blocks
+        starts, top, step, end, span, row, width = self.blocks
         # Row t + 1 - t0 of a block holds, per start, the sum of its terms 0 .. t.
         # Row 0 carries the last row of the previous block; the first starts at 0j.
         out = np.empty(len(span), dtype=complex)

@@ -28,6 +28,7 @@ from .dual_hypergroup import (
     _check_kind,
     _pair_plan,
     _pair_values,
+    _shown,
     pair_grid,
     per_label,
 )
@@ -407,48 +408,38 @@ class Witness:
 
 
 @dataclass(frozen=True, eq=False)
-class _Flagged:
-    """The pairs of a window above ``tol``, as flat indices, with their values."""
-
-    labels: list
-    flagged: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    violation: np.ndarray
-
-    def pairs(self):
-        n = len(self.labels)
-        return [(self.labels[p // n], self.labels[p % n]) for p in self.flagged.tolist()]
-
-
-@dataclass(frozen=True, eq=False)
 class _Window:
-    """A failing window: its labels, its flat lhs, rhs and violation arrays, and ``tol``."""
+    """A failing window: its labels, its flat lhs, rhs and violation arrays, and ``tol``.
+
+    Once :meth:`ordered`, it holds only the pairs above ``tol``, at flat indices ``flagged``.
+    """
 
     labels: list
     lhs: np.ndarray
     rhs: np.ndarray
     violation: np.ndarray
     tol: float
+    flagged: np.ndarray | None = None
 
-    def flagged(self) -> _Flagged:
+    def ordered(self) -> "_Window":
         """The pairs above ``tol`` by descending violation, ties in window order."""
+        if self.flagged is not None:
+            return self
         flagged = np.flatnonzero(self.violation > self.tol)
         flagged = flagged[np.argsort(-self.violation[flagged], kind="stable")]
-        return _Flagged(
-            self.labels, flagged, self.lhs[flagged], self.rhs[flagged], self.violation[flagged]
-        )
+        cut = (self.lhs[flagged], self.rhs[flagged], self.violation[flagged])
+        return _Window(self.labels, *cut, self.tol, flagged)
+
+    def pairs(self):
+        n = len(self.labels)
+        return [(self.labels[p // n], self.labels[p % n]) for p in self.flagged.tolist()]
 
 
 def _read(report):
-    """What ``report`` stores, a tuple or a :class:`_Flagged`.
-
-    A :class:`_Window` is ordered into a :class:`_Flagged` on its first read,
-    which the report keeps in its place.
-    """
+    """What ``report`` stores, a tuple or a :class:`_Window`, ordered in place on the first read."""
     stored = report.__dict__["_witnesses"]
     if isinstance(stored, _Window):
-        stored = report.__dict__["_witnesses"] = stored.flagged()
+        stored = report.__dict__["_witnesses"] = stored.ordered()
     return stored
 
 
@@ -464,7 +455,7 @@ class _LazyWitnesses:
             # dataclass reads the class attribute as the default; none, so the field is required.
             raise AttributeError("witnesses")
         stored = _read(report)
-        if isinstance(stored, _Flagged):
+        if isinstance(stored, _Window):
             stored = tuple(
                 Witness(a, b, left, right)
                 for (a, b), left, right in zip(
@@ -483,12 +474,12 @@ class StationarityReport:
     """Verdict of a check and its witnesses: the pairs above ``tol``.
 
     Witnesses come by descending violation, ties in window order.  A
-    passing check stores none.  A failing one keeps the window's arrays and
-    orders its flagged pairs on the first read of ``witnesses`` or
-    :meth:`to_json_dict`, keeping only those from then on: the
-    :class:`Witness` tuple is built the first time ``witnesses`` is read,
-    and :meth:`to_json_dict` renders from the ordered arrays while it is
-    unread.
+    passing check stores none.  A failing one keeps its window and cuts it
+    to the ordered flagged pairs on the first read of ``witnesses`` or
+    :meth:`to_json_dict`: the :class:`Witness` tuple is built the first
+    time ``witnesses`` is read, and :meth:`to_json_dict` renders from the
+    cut window while it is unread.  A nan or inf moment is refused; finite
+    moments whose difference overflows fail with ``max_violation`` inf.
     """
 
     condition: str
@@ -499,7 +490,7 @@ class StationarityReport:
 
     def to_json_dict(self, label_to_str=str) -> dict:
         stored = _read(self)
-        if isinstance(stored, _Flagged):
+        if isinstance(stored, _Window):
             parts = (stored.lhs.real, stored.lhs.imag, stored.rhs.real, stored.rhs.imag)
             rows = zip(stored.pairs(), *(part.tolist() for part in (*parts, stored.violation)))
         else:
@@ -594,18 +585,21 @@ def _check_pairs(condition, dual, oracle, labels, kind, tol):
         del plan, values  # freed before an oracle's own matrix is built
         if table is None:
             lhs = moment_matrix(oracle, labels).ravel()
+        diff = lhs - rhs
+        # hypot has the bits of abs(complex); np.abs differs in the last bit.
+        violation = np.hypot(diff.real, diff.imag)
+    worst = float(violation.max())
+    # A nan or inf moment makes its violation, and so the worst, non-finite;
+    # a finite difference that overflows gives inf and fails instead.
+    if not math.isfinite(worst):
         finite = np.isfinite(lhs) & np.isfinite(rhs)
         if not finite.all():
             p = int(np.argmin(finite))
             raise ValueError(
                 f"{condition}: non-finite second moment at pair "
-                f"({labels[p // n]!r}, {labels[p % n]!r}): "
+                f"({_shown(labels[p // n])}, {_shown(labels[p % n])}): "
                 f"lhs {complex(lhs[p])}, rhs {complex(rhs[p])}"
             )
-        diff = lhs - rhs
-        # hypot has the bits of abs(complex); np.abs differs in the last bit.
-        violation = np.hypot(diff.real, diff.imag)
-    worst = float(violation.max())
     witnesses = () if worst <= tol else _Window(labels, lhs, rhs, violation, tol)
     return StationarityReport(condition, worst <= tol, worst, tol, witnesses)
 

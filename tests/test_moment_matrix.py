@@ -235,6 +235,71 @@ class TestNonFiniteMoments:
         with pytest.raises(ValueError, match=r"at pair \(2, 2\): lhs 0j, rhs \(inf"):
             check_stationarity(su2, oracle, range(3))
 
+    def test_numpy_labels_named_as_ints(self, su2):
+        oracle = lambda a, b: float("nan") if (a, b) == (2, 1) else 0j  # noqa: E731
+        with pytest.raises(ValueError, match=r"at pair \(2, 1\): lhs \(nan"):
+            check_stationarity(su2, oracle, np.arange(3))
+        # Witnesses keep the labels as given.
+        report = check_stationarity(su2, lambda a, b: 1.0, np.arange(3))
+        assert not report.passed
+        assert all(type(w.pi1) is type(w.pi2) is np.int64 for w in report.witnesses)
+
+    @pytest.mark.parametrize("check", KINDS)
+    def test_finite_moments_whose_difference_overflows_fail(self, torus, check):
+        # Not a refusal: both moments are finite, only their difference is not.
+        big, inf = 1.5e308, float("inf")
+        moments = {(0, 0): -big, (1, 1): big}
+        report = run_check(check, torus, lambda a, b: moments.get((a, b), 0j), [0, 1], 1e-12)
+        assert not report.passed and report.max_violation == inf
+        assert report.to_json_dict()["witnesses"][0]["violation"] == inf
+        assert report.witnesses == (Witness(1, 1, complex(big), complex(-big)),)
+        assert report.witnesses[0].violation == inf
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        check=st.sampled_from(KINDS),
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        imaginary=st.booleans(),
+        left=st.booleans(),
+    )
+    def test_refusal_of_a_scan_before_the_violation(self, data, check, bad, imaginary, left):
+        # One left-side entry or one C(k) gets a non-finite part; the check
+        # names the pair that a scan of both sides, run first, names.
+        name = data.draw(st.sampled_from(["su2", "torus", "q8"]), label="dual")
+        dual = {"su2": SU2, "torus": TORUS, "q8": Q8}[name]
+        label = {"su2": st.integers(0, 6), "torus": st.integers(-4, 4), "q8": st.integers(0, 4)}
+        labels = data.draw(st.lists(label[name], min_size=1, max_size=5), label="labels")
+        if left:
+            at = (data.draw(st.sampled_from(labels)), data.draw(st.sampled_from(labels)))
+        else:
+            ks = dual_hypergroup._pair_plan(dual, labels, None).ks.tolist()
+            at = (data.draw(st.sampled_from(ks), label="k"), dual.neutral)
+
+        def oracle(a, b):
+            z = complex((3 * a - b) % 5 - 2, (a + 2 * b) % 3 - 1)
+            if (a, b) != at:
+                return z
+            return complex(z.real, bad) if imaginary else complex(bad, z.imag)
+
+        kind = "representation_ring" if check == "statdef" else check
+        condition = "statdef" if check == "statdef" else f"stathyp:{kind}"
+        n = len(labels)
+        lhs = moment_matrix(oracle, labels).ravel()
+        with np.errstate(invalid="ignore", over="ignore"):
+            rhs = pair_matrix(dual, labels, lambda k: oracle(k, dual.neutral), kind).ravel()
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        assert not finite.all()
+        p = int(np.argmin(finite))
+        want = (
+            f"{condition}: non-finite second moment at pair "
+            f"({labels[p // n]!r}, {labels[p % n]!r}): "
+            f"lhs {complex(lhs[p])}, rhs {complex(rhs[p])}"
+        )
+        with pytest.raises(ValueError) as caught:
+            run_check(check, dual, oracle, labels, 1e-12)
+        assert str(caught.value) == want
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_cli_check_exits_2(self, capsys, monkeypatch, value):
         # A check reads white noise's table for both sides, so both forms are patched.

@@ -46,7 +46,7 @@ from dualfield import (
 )
 from dualfield import dual_hypergroup
 from dualfield.dual_hypergroup import pair_grid, pair_matrix
-from dualfield.stationary_fields import _Flagged, _Window, moment_matrix
+from dualfield.stationary_fields import _Window, moment_matrix
 
 KINDS = ("statdef", "representation_ring", "normalized")
 
@@ -352,7 +352,7 @@ class TestWitnessesOrderedOnFirstRead:
         first = report.to_json_dict()
         # The window's arrays give way to the flagged pairs, in order.
         flagged = report.__dict__["_witnesses"]
-        assert type(flagged) is _Flagged and len(flagged.flagged) == len(first["witnesses"])
+        assert type(flagged) is _Window and len(flagged.flagged) == len(first["witnesses"])
         assert report.to_json_dict() == first and report.__dict__["_witnesses"] is flagged
         witnesses = report.witnesses
         assert report.__dict__["_witnesses"] is witnesses and len(witnesses) == len(flagged.flagged)
@@ -844,3 +844,51 @@ class TestValuesPass:
             for entry, (want, size, n) in zip(got.ravel(), near):
                 if np.isfinite(entry) and np.isfinite(want) and np.isfinite(size):
                     assert abs(entry - want) <= 4 * (n + 2) * (2.0**-53 * size + 2.0**-1074)
+
+
+def slots(plan):
+    """Every ``__slots__`` name of a plan's class and its bases."""
+    return [name for cls in type(plan).__mro__ for name in getattr(cls, "__slots__", ())]
+
+
+def slot_bytes(value):
+    """The bytes of a slot's arrays, in a tuple or alone, to see them written in place."""
+    if isinstance(value, tuple):
+        return tuple(slot_bytes(v) for v in value)
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+class TestReadOnlyPlan:
+    """A plan is only read, so values passes on it run in any order."""
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("plan_type", ["one block", "several blocks", "terms"])
+    def test_no_slot_rebound(self, plan_type, order):
+        dual = FINITE["q8"] if plan_type == "terms" else SU2
+        labels = [4, 0, 1, 2, 3] if plan_type == "terms" else [0, 3, 1, 5, 2, 9]
+        block = 7 if plan_type == "several blocks" else dual_hypergroup._BAND_BLOCK
+        rng = np.random.default_rng(28)
+        drawn = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+        passes = [
+            (cyclic_values_at([INF, 2.0, complex(1, NAN), NEG_ZERO, -3j]), "representation_ring"),
+            (cyclic_values_at(drawn), "normalized"),
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dual_hypergroup, "_BAND_BLOCK", block)
+            plan = dual_hypergroup._pair_plan(dual, labels, None)
+            if plan_type == "terms":
+                assert type(plan) is dual_hypergroup._TermPlan
+            else:
+                assert type(plan) is dual_hypergroup._BandPlan
+                assert (plan.blocks is None) == (plan_type == "one block")
+            before = {name: getattr(plan, name) for name in slots(plan)}
+            held = {name: slot_bytes(value) for name, value in before.items()}
+            for i in order:
+                values_at, kind = passes[i]
+                want = pair_grid(dual, labels, None, values_at, kind)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = dual_hypergroup._pair_values(plan, values_at(plan.ks.tolist()), kind)
+                assert got.tobytes() == want.tobytes(), (plan_type, kind)
+                for name in slots(plan):
+                    assert getattr(plan, name) is before[name], name
+                    assert slot_bytes(before[name]) == held[name], name
