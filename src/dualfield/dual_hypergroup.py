@@ -833,10 +833,11 @@ class _BandPlan(_PairPlan):
     Irreducibles are held as offsets from the smallest first one, ``lo``;
     ``offsets`` are those some pair covers.  Pairs that start at the same
     offset share one column of running sums; the distinct starts are found
-    by marking them in a boolean array, with no sort.  A table of at most
-    ``_BAND_BLOCK`` entries is summed with one take ``index`` and read with
-    one ``gather``, both built here; a larger one in blocks of rows.  A
-    plan is only read, so values passes on it run in any order.
+    by marking them in a boolean array, with no sort.  Every column takes
+    as many terms as the longest span; sums past its own are never gathered.
+    A table of at most ``_BAND_BLOCK`` entries is summed with one take
+    ``index`` and read with one ``gather``, both built here; a larger one in
+    blocks of rows.  A plan is only read, so values passes on it run in any order.
     """
 
     __slots__ = ("lo", "size", "offsets", "index", "gather", "blocks")
@@ -846,8 +847,8 @@ class _BandPlan(_PairPlan):
         self.lo = lo = int(first.min())
         at = first - lo
         last = at + step * span
-        # A slot past the last irreducible stays 0j: the index of every term
-        # a column does not have.
+        # A slot past the last irreducible stays 0j: "clip" reads it for every
+        # index past the table.
         self.size = size = step * (int(last.max()) // step + 2)
         # Progressions start and stop in one residue class mod step, so a
         # cumulative count per class marks the irreducibles some pair covers.
@@ -858,19 +859,16 @@ class _BandPlan(_PairPlan):
         starts = np.flatnonzero(mark)
         row = (np.cumsum(mark) - 1)[at]
         del at, last  # before the index's temporaries
-        top = np.zeros(len(starts), dtype=int)
-        np.maximum.at(top, row, span)
-        end = int(top.max()) + 1
+        end = int(span.max()) + 1
         width = min(end, max(1, _BAND_BLOCK // len(starts)))
         if width == end:
-            t = np.arange(end)[:, None]
-            self.index = np.where(t <= top, starts + step * t, size - 1)
+            self.index = starts + step * np.arange(end)[:, None]
             # Flat positions of row span + 1 in the (end + 1) x columns table.
             self.gather = (span + 1) * len(starts) + row
             self.blocks = None
         else:
             self.index = self.gather = None
-            self.blocks = (starts, top, step, end, span, row, width)
+            self.blocks = (starts, step, end, span, row, width)
 
     @property
     def ks(self):
@@ -889,21 +887,21 @@ class _BandPlan(_PairPlan):
         # Row t + 1 holds, per column, the sum of its terms 0 .. t; row 0 is 0j.
         running = np.empty((len(self.index) + 1, self.index.shape[1]), dtype=complex)
         running[0] = 0
-        # Every index is in range; "clip" only spares take a buffered copy.
+        # Past the table, "clip" reads its last slot, 0j.
         np.take(terms, self.index, out=running[1:], mode="clip")
         np.add.accumulate(running, axis=0, out=running)
         return running.ravel()[self.gather]
 
     def _blocked(self, terms):
         """:meth:`ring`'s sums over more than ``_BAND_BLOCK`` entries, by blocks of rows."""
-        starts, top, step, end, span, row, width = self.blocks
+        starts, step, end, span, row, width = self.blocks
         # Row t + 1 - t0 of a block holds, per start, the sum of its terms 0 .. t.
         # Row 0 carries the last row of the previous block; the first starts at 0j.
         out = np.empty(len(span), dtype=complex)
         running = np.zeros((width + 1, len(starts)), dtype=complex)
         for t0 in range(0, end, width):
             t = np.arange(t0, min(t0 + width, end))[:, None]
-            index = np.where(t <= top, starts + step * t, len(terms) - 1)
+            index = starts + step * t
             running[0] = running[-1]
             block = running[: len(t) + 1]
             np.take(terms, index, out=block[1:], mode="clip")

@@ -93,19 +93,33 @@ def _ar1_at(lam: complex, labels: Sequence[int], noise: np.ndarray) -> np.ndarra
 
 
 def ar1_covariance(lam: complex, n: int, h: int) -> complex:
-    """E(Y_{n+h} conj(Y_n)) under unit noise: lam^h times sum of |lam|^{2l}.
+    """E(Y_{n+h} conj(Y_n)) under unit noise: lam^h times sum of |lam|^{2l}, l = 0 .. n.
 
     Evaluated as lam^h (1 - |lam|^{2n+2}) / (1 - |lam|^2) away from the
-    unit circle and as (n + 1) lam^h within UNIT_CIRCLE_TOL of it, which
-    avoids the cancellation at the removable singularity.
+    unit circle.  Within UNIT_CIRCLE_TOL of it the sum is
+    :func:`_near_unit_sum`, which avoids the cancellation at the removable
+    singularity and stays exact to rounding for any n.
     """
     if n < 0 or h < 0:
         raise ValueError("indices must be nonnegative")
     lam = complex(lam)
     r2 = abs(lam) ** 2
     if abs(abs(lam) - 1.0) <= UNIT_CIRCLE_TOL:
-        return (n + 1) * lam**h
+        return _near_unit_sum(r2)(n) * lam**h
     return lam**h * (1.0 - r2 ** (n + 1)) / (1.0 - r2)
+
+
+def _near_unit_sum(r2: float) -> Callable[[int], float]:
+    """t -> sum of r2^l over l = 0 .. t, for r2 near 1: t + 1 at r2 = 1.0 exactly.
+
+    Otherwise (r2^{t+1} - 1) / (r2 - 1) through expm1 and log1p: r2 - 1 is
+    exact near 1, so the sum keeps full relative precision however large t is.
+    """
+    if r2 == 1.0:
+        return lambda t: t + 1
+    d = r2 - 1.0
+    log_r2 = math.log1p(d)
+    return lambda t: math.expm1((t + 1) * log_r2) / d
 
 
 def _per_distinct(values: np.ndarray, f: Callable) -> np.ndarray:
@@ -115,11 +129,12 @@ def _per_distinct(values: np.ndarray, f: Callable) -> np.ndarray:
 
 
 def _per_lag(lags: np.ndarray, f: Callable) -> np.ndarray:
-    """:func:`_per_distinct` on an array of nonnegative lags: ``f`` once per lag, ascending.
+    """:func:`_per_distinct` on an array of nonnegative integers: ``f`` once per value, ascending.
 
-    When the largest lag is below the number of entries, the lags that occur
-    are marked in a table of max + 1 slots, with no sort.  Sparse lags keep
-    the sort, whose memory follows the entries, not their spread.
+    When the largest value is below the number of entries, the values that occur
+    are marked in a table of max + 1 slots, with no sort.  Sparse values keep
+    the sort, whose memory follows the entries, not their spread.  The result
+    has the dtype of ``f``'s values, as :func:`_per_distinct`'s has.
     """
     top = int(lags.max(initial=0))
     if top >= lags.size:
@@ -127,8 +142,9 @@ def _per_lag(lags: np.ndarray, f: Callable) -> np.ndarray:
     seen = np.zeros(top + 1, dtype=bool)
     seen[lags] = True
     marked = np.flatnonzero(seen)
-    table = np.zeros(top + 1, dtype=complex)
-    table[marked] = [f(h) for h in marked.tolist()]
+    values = np.array([f(h) for h in marked.tolist()])
+    table = np.zeros(top + 1, dtype=values.dtype)
+    table[marked] = values
     return table[lags]
 
 
@@ -154,26 +170,22 @@ def ar1_second_moment_oracle(lam: complex) -> SeriesSpec:
 
 
 def _ar1_matrix(coefficients, n: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) of AR(1) moments at n1 >= n2 over n x m: Python's complex pow
-    once per distinct lag, and 1 - |lam|^{2 min + 2} once per row and column label."""
+    """(re, im) of AR(1) moments at n1 >= n2 over n x m: Python's complex pow once
+    per distinct lag, then its factor in the min once per distinct min, by :func:`_per_lag`."""
     if (n.size and n.min() < 0) or (m.size and m.min() < 0):
         raise ValueError("indices must be nonnegative")
     z = complex(coefficients[0])
     r2 = abs(z) ** 2
     power = _per_lag(np.abs(n[:, None] - m[None, :]), lambda h: z**h)
     x, y = power.real, power.imag
+    low = np.minimum(n[:, None], m[None, :])
     # ar1_covariance's mixed arithmetic on the parts: Python (before 3.14)
     # promotes the real operand to complex, and numpy's complex division
     # would round differently.
     if abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL:
-        scale = (np.minimum(n[:, None], m[None, :]) + 1).astype(float)
+        scale = _per_lag(low, _near_unit_sum(r2))
         return scale * x - 0.0 * y, scale * y + 0.0 * x
-    # Each label clipped to the largest min it can be: past it, the pow could overflow.
-    row = [1.0 - r2 ** (t + 1) for t in np.minimum(n, m.max(initial=0)).tolist()]
-    col = row if m is n else [
-        1.0 - r2 ** (t + 1) for t in np.minimum(m, n.max(initial=0)).tolist()
-    ]
-    tail = np.where(n[:, None] <= m[None, :], np.array(row)[:, None], np.array(col)[None, :])
+    tail = _per_lag(low, lambda t: 1.0 - r2 ** (t + 1))
     re, im = x * tail - y * 0.0, x * 0.0 + y * tail
     d = 1.0 - r2
     ratio = 0.0 / d

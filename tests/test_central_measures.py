@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 import threading
@@ -646,3 +647,50 @@ class TestTorusDensityTransform:
             want = 0.25 * np.exp(1j * label * 0.5) + 0.75 * np.exp(1j * label * 2.0)
             assert atoms.fourier(label) == pytest.approx(want, abs=1e-12)
             assert parse_measure_spec(torus, "haar").fourier(label) == 0j
+
+
+def decimal_pi():
+    """pi to the context's precision (the recipe of the decimal module's documentation)."""
+    decimal.getcontext().prec += 2
+    three = decimal.Decimal(3)
+    lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def decimal_cis(n, theta):
+    """exp(i n theta) for the float theta, from n theta reduced mod 2 pi in 100 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        two_pi = 2 * decimal_pi()
+        x = decimal.Decimal(n) * decimal.Decimal(theta)
+        x -= two_pi * (x / two_pi).to_integral_value()
+        # The Taylor series of exp(i x) at |x| <= pi, term x^k / k! by term.
+        cos = sin = decimal.Decimal(0)
+        term, k = decimal.Decimal(1), 0
+        while abs(term) > decimal.Decimal("1e-110"):
+            part = term if k % 4 < 2 else -term
+            if k % 2 == 0:
+                cos += part
+            else:
+                sin += part
+            k += 1
+            term = term * x / k
+        return complex(float(cos), float(sin))
+
+
+class TestTorusAtomPhase:
+    """An atom's transform reduces n theta mod 2 pi exactly: no phase is lost at large labels."""
+
+    @pytest.mark.parametrize("label", [10**13, 10**15, 2**61, -(2**62 - 1)])
+    @pytest.mark.parametrize("theta", [0.1, 2.0, math.nextafter(2 * math.pi, 0)])
+    def test_large_labels_match_a_decimal_reference(self, label, theta):
+        got = TorusAngleMeasure(atoms=[(theta, 1.0)]).fourier(label)
+        assert abs(got - decimal_cis(label, theta)) <= 1e-15
+

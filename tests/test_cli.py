@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import time
@@ -340,6 +341,21 @@ class TestCheckCommand:
         assert code == 1
         payload = json.loads(out)
         assert payload["witnesses"]
+
+    @pytest.mark.parametrize("lam", ["1.000000005,0", "0.999999995,0", "-0.999999995,0"])
+    def test_real_ar1_near_the_unit_circle_passes(self, capsys, lam):
+        # Inside UNIT_CIRCLE_TOL, but |lam|^2 != 1: the sum of |lam|^{2l} is not n + 1.
+        code, out, _ = run(capsys, "check", "--dual", "su2", "--labels", "0..60", f"ar1:{lam}")
+        assert code == 0
+        assert json.loads(out)["max_violation"] < 1e-12
+
+    def test_nonreal_ar1_near_the_unit_circle_fails(self, capsys):
+        lam = cmath.rect(1.0 + 5e-9, 0.7)
+        code, out, _ = run(
+            capsys, "check", "--dual", "su2", "--labels", "0..60", f"ar1:{lam.real!r},{lam.imag!r}"
+        )
+        assert code == 1
+        assert json.loads(out)["max_violation"] > 1.0
 
     def test_finite_dual_defaults_to_all_labels(self, capsys):
         code, out, _ = run(

@@ -885,17 +885,17 @@ def count_sorts(monkeypatch):
 
 
 class TestAr1LagTable:
-    # (rows, columns, whether the lags are sparse enough to be sorted)
+    # (rows, columns, how many of the lag and minimum tables are sparse enough to be sorted)
     CASES = [
-        (list(range(31)), None, False),
-        ([0, 10**6], None, True),
-        ([9, 0, 3, 12, 1, 1, 6, 4, 2], None, False),
-        ([5, 5, 5, 5], None, False),
-        ([9, 0, 3, 12, 1], [4, 4, 0, 7], False),
-        ([40, 2], [0, 1, 2, 3, 4, 5], True),
-        (list(range(61)), [0], False),
-        ([0, 10**6], [0], True),
-        ([0, 7, 1], [10**6], True),
+        (list(range(31)), None, 0),
+        ([0, 10**6], None, 2),
+        ([9, 0, 3, 12, 1, 1, 6, 4, 2], None, 0),
+        ([5, 5, 5, 5], None, 0),
+        ([9, 0, 3, 12, 1], [4, 4, 0, 7], 0),
+        ([40, 2], [0, 1, 2, 3, 4, 5], 1),
+        (list(range(61)), [0], 0),
+        ([0, 10**6], [0], 1),
+        ([0, 7, 1], [10**6], 2),
     ]
 
     @pytest.mark.parametrize("lam", [0, 0.5, -0.9, 0.5 + 0.6j, 1])
@@ -906,6 +906,25 @@ class TestAr1LagTable:
             sorts.clear()
             assert same_as_per_pair(oracle, oracle.matrix, rows, columns), (rows, columns)
             assert len(sorts) == sparse, (rows, columns)
+
+    @pytest.mark.parametrize("lam", [0.5, 0.5 + 0.6j, 1 + 5e-9, 1])
+    @pytest.mark.parametrize(
+        "rows, columns", [(list(range(41)), [0]), ([9, 0, 3, 12, 1], [4, 4, 0, 7])]
+    )
+    def test_tail_once_per_distinct_minimum(self, monkeypatch, lam, rows, columns):
+        # The covariance column 0 .. 2N against [0] makes one tail pow, not 2N + 2.
+        tables = []
+
+        def recorded(values, f):
+            calls = []
+            tables.append(calls)
+            return _per_lag(values, lambda t: calls.append(t) or f(t))
+
+        monkeypatch.setattr(time_series, "_per_lag", recorded)
+        ar1_second_moment_oracle(lam).matrix(rows, columns)
+        lags = {abs(a - b) for a in rows for b in columns}
+        minima = {min(a, b) for a in rows for b in columns}
+        assert tables == [sorted(lags), sorted(minima)]
 
     @pytest.mark.parametrize(
         "lags",

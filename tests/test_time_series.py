@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -39,6 +40,14 @@ def brute_force_ar1_covariance(lam, n, h):
     return total
 
 
+def decimal_ar1_sum(lam, n):
+    """Sum of r2^l over l = 0 .. n for the float r2 = |lam|^2, to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        r2 = decimal.Decimal(abs(complex(lam)) ** 2)
+        return (r2 ** (n + 1) - 1) / (r2 - 1)
+
+
 def brute_force_statdef_violation(dual, oracle, a, b):
     lhs = oracle(a, b)
     rhs = sum(
@@ -76,6 +85,17 @@ class TestAR1Covariance:
                 ) < 1e-12
         near = 1.0 + 5e-9  # inside the branch window
         assert ar1_covariance(near, 3, 1) == pytest.approx(4 * near, abs=1e-7)
+
+    @pytest.mark.parametrize("lam", [1 + 5e-9, 1 - 5e-9, -1 + 5e-9, 1 + 2e-9])
+    def test_near_the_unit_circle_the_sum_is_exact(self, lam):
+        # Inside UNIT_CIRCLE_TOL the sum of |lam|^{2l} is not n + 1 unless |lam|^2 is 1.0.
+        labels = [10, 10**3, 10**6]
+        diagonal = np.diagonal(ar1_second_moment_oracle(lam).matrix(labels))
+        for n, from_matrix in zip(labels, diagonal.tolist()):
+            want = decimal_ar1_sum(lam, n)
+            for got in (ar1_covariance(lam, n, 0), from_matrix):
+                assert got.imag == 0.0
+                assert abs(decimal.Decimal(got.real) - want) <= decimal.Decimal(2.0**-52) * want
 
     def test_oracle_values_and_symmetry(self):
         oracle = ar1_second_moment_oracle(0.9)
